@@ -195,8 +195,9 @@ def run_benchmarks(num_cpus: int, only_flagship: bool = False, repeat: int = 0) 
         # shared host swing ±3× run to run (see BASELINE.md variance note)
         _, t = timed(lambda: union_full_self(tri, agg="count").count())
         results["union_full_self"] = round(t, 3)
-        # concave layer: interlocking staircase L-shapes (general
-        # NON-convex kernels — neither rect nor convex-SAT fast paths)
+        # concave layer: interlocking staircase L-shapes (no rect or
+        # convex-SAT predicate path; overlays clip each L by its rect
+        # partner in one batch and sweep only bridged results)
         lsh = lshapes_dataset(SF_DIR, repeat).materialize()
         _, t = timed(
             lambda: intersection(lsh, z, cols1=["grp"], cols2=["naam"]).count()

@@ -1,11 +1,21 @@
-"""Vectorized Sutherland-Hodgman clipping of convex single-ring polygons
-by axis-aligned rectangles.
+"""Vectorized Sutherland-Hodgman clipping of small single-ring polygons
+by convex polygons, and separating-axis predicates for convex pairs.
 
-This is the batched fast path for convex x rect overlay pairs (the
-reference computes each such pair with a GEOS ST_Intersection call inside
-its SQL templates, _geoops_sql.py:1000-1028; here ONE numpy pass handles
-every pair in a batch). The general trapezoid sweep in boolops.py remains
-the fallback for non-convex / multi-ring operands.
+The reference computes every overlay pair with one GEOS ST_Intersection
+call inside its SQL templates (_geoops_sql.py:1805-2102); here ONE numpy
+pass handles every eligible pair in a batch. ``clip_pairs`` clips any
+single ring of at most MAX_CONVEX_VERTS coordinates, convex or not, by
+an axis-aligned rectangle or a convex ring: one half-plane pass per clip
+edge, then duplicate and collinear vertices are dropped.
+
+Clipping a concave ring yields ONE ring even where the true answer is
+not a simple polygon: a zero-width bridge along the clip boundary joins
+the parts of a MultiPolygon, and a dangling spike appears where the
+subject only touches the boundary. ``clip_pairs`` flags such rings (and
+near-degenerate slivers) as untrusted, and callers send those pairs to
+the general trapezoid sweep in boolops.py, which also stays the path for
+multi-ring / multi-part operands and concave x concave pairs. Areas need
+no such flag: a bridge's two edges cancel in the shoelace sum.
 """
 
 from __future__ import annotations
@@ -14,27 +24,38 @@ import numpy as np
 
 from .array import POLYGON, GeometryArray
 
-# pairs whose polygon has more open vertices than this skip the padded
-# kernel (padding cost grows with the max, and huge convex rings are rare)
+# operands with more coordinates than this skip the padded kernels
+# (padding cost grows with the max, and huge rings are rare)
 MAX_CONVEX_VERTS = 64
 
 
-def convex_single_ring(ga: GeometryArray) -> np.ndarray:
-    """bool[n]: row is a single-part, single-ring POLYGON whose ring is
-    convex (consecutive-edge cross products never change sign).
-    Memoized per array — every two-layer fast-path probe calls this on
-    the same (broadcast) array."""
-    cached = getattr(ga, "_convex_single_ring_cache", None)
+def clip_operands(ga: GeometryArray) -> tuple[np.ndarray, np.ndarray]:
+    """(ring, convex) bool[n]: row is a single-part, single-ring POLYGON
+    of 4..MAX_CONVEX_VERTS closed coordinates — a clip_pairs subject —
+    and such a ring that is also convex_single_ring() — a clip. Memoized
+    per array: every two-layer fast-path probe calls this on the same
+    (broadcast) array."""
+    cached = getattr(ga, "_clip_operands_cache", None)
     if cached is None:
-        cached = _convex_single_ring_impl(ga)
+        geo, po, ro = ga.geom_offsets, ga.part_offsets, ga.ring_offsets
+        ring = np.zeros(len(ga), dtype=bool)
+        one_part = geo[1:] - geo[:-1] == 1
+        cand = np.flatnonzero((ga.types == POLYGON) & one_part)
+        cand = cand[po[geo[cand] + 1] - po[geo[cand]] == 1]
+        r0 = po[geo[cand]]
+        m = ro[r0 + 1] - ro[r0]
+        ring[cand] = (m >= 4) & (m <= MAX_CONVEX_VERTS)
+        cached = (ring, ring & convex_single_ring(ga))
         try:
-            ga._convex_single_ring_cache = cached
+            ga._clip_operands_cache = cached
         except AttributeError:
             pass
     return cached
 
 
-def _convex_single_ring_impl(ga: GeometryArray) -> np.ndarray:
+def convex_single_ring(ga: GeometryArray) -> np.ndarray:
+    """bool[n]: row is a single-part, single-ring POLYGON whose ring is
+    convex (consecutive-edge cross products never change sign)."""
     n = len(ga)
     out = np.zeros(n, dtype=bool)
     if n == 0:
@@ -115,12 +136,19 @@ def _gather_open_rings(
     return P, cnt
 
 
+def _cyclic(cnt: np.ndarray, V: int) -> tuple[np.ndarray, np.ndarray]:
+    """(prev, next) slot of every slot of padded cyclic rings with
+    ``cnt`` vertices, clipped into [0, V)."""
+    slot = np.arange(V)[None, :]
+    prv = np.clip(np.where(slot > 0, slot - 1, cnt[:, None] - 1), 0, V - 1)
+    return prv, np.where(slot + 1 < cnt[:, None], slot + 1, 0)
+
+
 def _shoelace2(P: np.ndarray, cnt: np.ndarray) -> np.ndarray:
     """Twice the signed area of each padded cyclic ring."""
     n, V, _ = P.shape
-    slot = np.arange(V)
-    valid = slot[None, :] < cnt[:, None]
-    nxt = np.where(slot[None, :] + 1 < cnt[:, None], slot[None, :] + 1, 0)
+    valid = np.arange(V)[None, :] < cnt[:, None]
+    _, nxt = _cyclic(cnt, V)
     rows = np.arange(n)[:, None].repeat(V, axis=1)
     xn = P[rows, nxt, 0]
     yn = P[rows, nxt, 1]
@@ -129,42 +157,56 @@ def _shoelace2(P: np.ndarray, cnt: np.ndarray) -> np.ndarray:
 
 
 def _clip_halfplane(
-    P: np.ndarray, cnt: np.ndarray, c: np.ndarray, axis: int, keep_ge: bool
+    P: np.ndarray, cnt: np.ndarray, q0: np.ndarray, e: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One Sutherland-Hodgman pass: keep coord[axis] >= c (or <= c).
-    ``c`` is per-row. Returns a (n, V+1, 2) padded array + new counts."""
+    """One Sutherland-Hodgman pass per row: keep the closed half-plane
+    left of the directed edge ``q0[r] + t·e[r]`` (the inside of a CCW
+    clip ring). A zero edge keeps everything. Axis-parallel edges compare
+    the coordinate itself and put crossings exactly on the clip line.
+    Returns a padded array + new counts."""
     n, V, _ = P.shape
     slot = np.arange(V)
     valid = slot[None, :] < cnt[:, None]
-    a = P[:, :, axis]
-    inside = (a >= c[:, None]) if keep_ge else (a <= c[:, None])
-    inside &= valid
-    prev_slot = np.where(slot[None, :] > 0, slot[None, :] - 1, cnt[:, None] - 1)
-    prev_slot = np.clip(prev_slot, 0, V - 1)
+    ex, ey = e[:, 0:1], e[:, 1:2]
+    dx = P[:, :, 0] - q0[:, 0:1]
+    dy = P[:, :, 1] - q0[:, 1:2]
+    # axis: 0 = vertical edge (x = q0x), 1 = horizontal, -1 = general
+    axis = np.where(e[:, 0] == 0, 0, np.where(e[:, 1] == 0, 1, -1))
+    axis[(e[:, 0] == 0) & (e[:, 1] == 0)] = -1
+    side = np.where(
+        axis[:, None] == 0,
+        -np.sign(ey) * dx,
+        np.where(axis[:, None] == 1, np.sign(ex) * dy, ex * dy - ey * dx),
+    )
+    inside = (side >= 0) & valid
+    prev_slot, _ = _cyclic(cnt, V)
     rows = np.arange(n)[:, None].repeat(V, axis=1)
     prev_in = inside[rows, prev_slot]
     crossing = (inside != prev_in) & valid
     emit = crossing.astype(np.int64) + inside.astype(np.int64)
-    flat = emit.reshape(-1)
-    pos = np.cumsum(flat) - flat
-    pos = pos.reshape(n, V)
-    row_base = pos[:, 0]
-    local = pos - row_base[:, None]
+    local = np.cumsum(emit, axis=1) - emit
     new_cnt = emit.sum(axis=1)
-    Vo = V + 1
-    out = np.zeros((n, Vo, 2))
+    out = np.zeros((n, max(int(new_cnt.max()), 1), 2))
     # intersection points (prev -> cur crosses the line)
     if crossing.any():
         r, sl = np.nonzero(crossing)
         ps = prev_slot[r, sl]
         p0 = P[r, ps]
         p1 = P[r, sl]
-        cc = c[r]
-        denom = p1[:, axis] - p0[:, axis]
-        denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-        t = (cc - p0[:, axis]) / denom
+        s0 = side[r, ps]
+        t = s0 / (s0 - side[r, sl])
+        ax = axis[r]
+        on = np.flatnonzero(ax >= 0)
+        if len(on):
+            a = ax[on]
+            a0 = p0[on, a]
+            denom = p1[on, a] - a0
+            denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
+            c = q0[r[on], a]
+            t[on] = (c - a0) / denom
         ip = p0 + t[:, None] * (p1 - p0)
-        ip[:, axis] = cc  # exact on the clip line
+        if len(on):
+            ip[on, a] = c  # exact on the clip line
         out[r, local[r, sl]] = ip
     if inside.any():
         r, sl = np.nonzero(inside)
@@ -173,24 +215,225 @@ def _clip_halfplane(
     return out, new_cnt
 
 
-def clip_convex_by_rects(
-    ga: GeometryArray, idx: np.ndarray, rects: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Clip convex single-ring polygons ``ga[idx[k]]`` by axis-aligned
-    rectangle ``rects[k] = (minx, miny, maxx, maxy)``, all pairs at once.
+def _compact(P: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Padded rings holding only the ``keep`` slots, in slot order."""
+    cnt = keep.sum(axis=1)
+    out = np.zeros((P.shape[0], max(int(cnt.max(initial=0)), 1), 2))
+    r, sl = np.nonzero(keep)
+    out[r, (np.cumsum(keep, axis=1) - 1)[r, sl]] = P[r, sl]
+    return out, cnt
 
-    Returns (P, cnt): padded (n, V, 2) CCW open rings and per-pair vertex
-    counts (0 = empty intersection). Caller guarantees each idx row
-    passes convex_single_ring()."""
-    P, cnt = _gather_open_rings(ga, idx)
-    P, cnt = _clip_halfplane(P, cnt, rects[:, 0], 0, True)
-    P, cnt = _clip_halfplane(P, cnt, rects[:, 2], 0, False)
-    P, cnt = _clip_halfplane(P, cnt, rects[:, 1], 1, True)
-    P, cnt = _clip_halfplane(P, cnt, rects[:, 3], 1, False)
+
+def _clean(P: np.ndarray, cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop consecutive duplicate vertices (a vertex exactly on a clip
+    line emits twice), then collinear vertices by the sweep's own rule
+    (boolops._finish_rings); rings left with < 3 vertices are empty."""
+    n, V, _ = P.shape
+    rows = np.arange(n)[:, None].repeat(V, axis=1)
+    valid = np.arange(V)[None, :] < cnt[:, None]
+    prev_slot, _ = _cyclic(cnt, V)
+    dup = (
+        (P[:, :, 0] == P[rows, prev_slot, 0])
+        & (P[:, :, 1] == P[rows, prev_slot, 1])
+        & valid
+        & (cnt[:, None] > 1)
+    )
+    P, cnt = _compact(P, valid & ~dup)
+    n, V, _ = P.shape
+    rows = np.arange(n)[:, None].repeat(V, axis=1)
+    valid = np.arange(V)[None, :] < cnt[:, None]
+    prv, nxt = _cyclic(cnt, V)
+    e1 = P - P[rows, prv]
+    e2 = P[rows, nxt] - P
+    cross = e1[:, :, 0] * e2[:, :, 1] - e1[:, :, 1] * e2[:, :, 0]
+    l1 = np.hypot(e1[:, :, 0], e1[:, :, 1])
+    l2 = np.hypot(e2[:, :, 0], e2[:, :, 1])
+    keep = valid & (np.abs(cross) > 1e-10 * l1 * l2)
+    P, cnt = _compact(P, keep)
+    return P, np.where(cnt >= 3, cnt, 0)
+
+
+def _rect_edges(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q0, e) of shape (n, 4, 2): the half-planes x >= minx, x <= maxx,
+    y >= miny, y <= maxy of bounds ``b``, in that pass order."""
+    n = len(b)
+    q0 = np.empty((n, 4, 2))
+    q0[:, 0] = b[:, [0, 1]]
+    q0[:, 1] = b[:, [2, 1]]
+    q0[:, 2] = b[:, [0, 1]]
+    q0[:, 3] = b[:, [0, 3]]
+    e = np.zeros((n, 4, 2))
+    e[:, 0, 1] = -1.0
+    e[:, 1, 1] = 1.0
+    e[:, 2, 0] = 1.0
+    e[:, 3, 0] = -1.0
+    return q0, e
+
+
+def _clip(
+    gs: GeometryArray,
+    isub: np.ndarray,
+    gc: GeometryArray,
+    iclip: np.ndarray,
+    rect: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clip ring ``gs[isub[k]]`` by ``gc[iclip[k]]``: by its bounds where
+    ``rect[k]``, else by its convex ring. Cleaned CCW padded rings."""
+    P, cnt = _gather_open_rings(gs, isub)
+    edges = []  # (pair rows, edge starts, edge vectors) per clip kind
+    kr = np.flatnonzero(rect)
+    if len(kr):
+        edges.append((kr, *_rect_edges(gc.bounds()[iclip[kr]])))
+    kc = np.flatnonzero(~rect)
+    if len(kc):
+        Q, qcnt = _gather_open_rings(gc, iclip[kc])
+        _, nxt = _cyclic(qcnt, Q.shape[1])
+        live = np.arange(Q.shape[1])[None, :] < qcnt[:, None]
+        E = Q[np.arange(len(kc))[:, None], nxt] - Q
+        edges.append((kc, Q, np.where(live[:, :, None], E, 0.0)))
+    W = max(q.shape[1] for _, q, _ in edges)
+    q0 = np.zeros((len(isub), W, 2))
+    e = np.zeros((len(isub), W, 2))
+    for rows, q, ev in edges:
+        q0[rows, : q.shape[1]] = q
+        e[rows, : q.shape[1]] = ev
+    for j in range(W):
+        P, cnt = _clip_halfplane(P, cnt, q0[:, j], e[:, j])
+    P, cnt = _clean(P, cnt)
     # degenerate (zero-area) clips are empty
     area2 = _shoelace2(P, cnt)
-    cnt = np.where(area2 > 1e-300, cnt, 0)
-    return P, cnt
+    return P, np.where(area2 > 1e-300, cnt, 0)
+
+
+def _simple_rings(P: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    """bool per padded ring: no two non-adjacent edges come within
+    ``tol`` (_ring_tol) of each other, touching and crossing included.
+    That also catches two adjacent edges folding back onto each other
+    in rings of 4+ vertices; a folded triangle fails _trusted's width
+    test instead. Chunked so the (rings x edges x edges) temporaries
+    stay bounded."""
+    n, V, _ = P.shape
+    out = np.ones(n, dtype=bool)
+    slot = np.arange(V)
+    chunk = max(1, (1 << 18) // (V * V))
+    for s in range(0, n, chunk):
+        A = P[s : s + chunk]
+        c = cnt[s : s + chunk]
+        m = len(A)
+        rows = np.arange(m)[:, None]
+        valid = slot[None, :] < c[:, None]
+        _, nxt = _cyclic(c, V)
+        E = A[rows, nxt] - A  # edge j: A[j] -> A[nxt j]
+        tol = _ring_tol(A, c)
+        # vertex v against edge j: w = A[v] - A[j]
+        w = A[:, :, None, :] - A[:, None, :, :]
+        Ex = E[:, None, :, 0]
+        Ey = E[:, None, :, 1]
+        ee = Ex * Ex + Ey * Ey
+        t = (w[..., 0] * Ex + w[..., 1] * Ey) / np.where(ee > 0, ee, 1.0)
+        t = np.clip(t, 0.0, 1.0)
+        dist = np.hypot(w[..., 0] - t * Ex, w[..., 1] - t * Ey)
+        near = dist <= tol[:, None, None]
+        side = np.sign(Ex * w[..., 1] - Ey * w[..., 0])
+        # edge i = (v, nxt v) against edge j
+        near_i = near | near[rows, nxt]
+        straddle = side * side[rows, nxt] < 0
+        touch = near_i | np.swapaxes(near_i, 1, 2)
+        cross = straddle & np.swapaxes(straddle, 1, 2)
+        pair_ok = valid[:, :, None] & valid[:, None, :]
+        nonadj = (
+            (slot[None, :, None] != slot[None, None, :])
+            & (nxt[:, :, None] != slot[None, None, :])
+            & (slot[None, :, None] != nxt[:, None, :])
+        )
+        bad = ((touch | cross) & nonadj & pair_ok).any(axis=(1, 2))
+        out[s : s + chunk] = ~bad
+    return out
+
+
+def clip_pairs(
+    ga1: GeometryArray,
+    ia: np.ndarray,
+    ga2: GeometryArray,
+    ib: np.ndarray,
+    rect1: np.ndarray,
+    rect2: np.ndarray,
+    todo: np.ndarray,
+    check: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Batched ``ga1[ia[k]] ∩ ga2[ib[k]]`` for the pairs in ``todo``
+    where one side is a clip_operands() ring and the other an axis-aligned
+    rect (``rect1`` / ``rect2``: per-row masks, e.g. detect_rects) or a
+    clip_operands() convex ring. Rects are clipped by their bounds.
+
+    Returns (k, P, cnt, trusted): the pair positions served, their
+    padded CCW result rings and vertex counts (0 = empty), and whether
+    each ring is the intersection as a Polygon (None unless ``check``).
+    Untrusted rings (bridge, spike, or a sliver thinner than the
+    simplicity tolerance) still carry the right shoelace area, but their
+    geometry must come from the sweep. Convex rings clipped by rects are
+    always trusted."""
+    ring1, cvx1 = clip_operands(ga1)
+    ring2, cvx2 = clip_operands(ga2)
+    rc1 = rect1[ia] & (ga1.types[ia] == POLYGON)
+    rc2 = rect2[ib] & (ga2.types[ib] == POLYGON)
+    c1 = todo & ring1[ia] & rc2
+    c2 = todo & ~c1 & ring2[ib] & rc1
+    c3 = todo & ~c1 & ~c2 & ring1[ia] & cvx2[ib]
+    c4 = todo & ~c1 & ~c2 & ~c3 & ring2[ib] & cvx1[ia]
+    k = np.flatnonzero(c1 | c2 | c3 | c4)
+    parts = []
+    for sel, gs, isub, cvx_s, gc, iclip, rect in (
+        (c1 | c3, ga1, ia, cvx1, ga2, ib, rc2),
+        (c2 | c4, ga2, ib, cvx2, ga1, ia, rc1),
+    ):
+        ks = np.flatnonzero(sel)
+        if len(ks):
+            P, cnt = _clip(gs, isub[ks], gc, iclip[ks], rect[ks])
+            ok = _trusted(P, cnt, cvx_s[isub[ks]], rect[ks]) if check else None
+            parts.append((np.searchsorted(k, ks), P, cnt, ok))
+    P = np.zeros((len(k), max([q[1].shape[1] for q in parts], default=1), 2))
+    cnt = np.zeros(len(k), dtype=np.int64)
+    ok = np.zeros(len(k), dtype=bool) if check else None
+    for pos, Ps, cs, oks in parts:
+        P[pos, : Ps.shape[1]] = Ps
+        cnt[pos] = cs
+        if check:
+            ok[pos] = oks
+    return k, P, cnt, ok
+
+
+def _ring_tol(P: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    """Simplicity tolerance per padded ring: 1e-9 x its largest
+    coordinate magnitude, far above the clip's rounding error."""
+    valid = np.arange(P.shape[1])[None, :] < cnt[:, None]
+    return 1e-9 * np.where(valid[:, :, None], np.abs(P), 0.0).max(axis=(1, 2))
+
+
+def _trusted(
+    P: np.ndarray, cnt: np.ndarray, convex_sub: np.ndarray, rect: np.ndarray
+) -> np.ndarray:
+    """bool per clipped ring: it is the exact intersection polygon.
+    Empty results and convex x rect clips always are. Others must be no
+    thinner than the ring tolerance (mean width 2·area/perimeter), and a
+    concave subject's ring must pass _simple_rings."""
+    ok = (cnt == 0) | (convex_sub & rect)
+    chk = np.flatnonzero(~ok)
+    if len(chk):
+        Pc, cc = P[chk], cnt[chk]
+        V = Pc.shape[1]
+        _, nxt = _cyclic(cc, V)
+        d = Pc[np.arange(len(chk))[:, None], nxt] - Pc
+        elen = np.hypot(d[..., 0], d[..., 1])
+        valid = np.arange(V)[None, :] < cc[:, None]
+        perim = np.where(valid, elen, 0.0).sum(axis=1)
+        good = _shoelace2(Pc, cc) > _ring_tol(Pc, cc) * perim
+        test = np.flatnonzero(good & ~convex_sub[chk])
+        if len(test):
+            Vt = int(cc[test].max())
+            good[test] = _simple_rings(Pc[test, :Vt], cc[test])
+        ok[chk] = good
+    return ok
 
 
 def clip_areas(P: np.ndarray, cnt: np.ndarray) -> np.ndarray:
@@ -376,43 +619,22 @@ def convex_convex_interiors(
 
 
 def padded_to_wkb(P: np.ndarray, cnt: np.ndarray) -> list[bytes | None]:
-    """WKB POLYGON per padded ring via the vectorized slab encoder;
-    None where cnt == 0. Consecutive duplicate vertices (a vertex exactly
-    on a clip line emits twice) are dropped first."""
+    """WKB POLYGON per padded ring (as clip_pairs returns them, already
+    cleaned) via the vectorized slab encoder; None where cnt == 0."""
     from .wkb import to_wkb
 
-    n, V, _ = P.shape
-    slot = np.arange(V)
-    valid = slot[None, :] < cnt[:, None]
-    prev_slot = np.where(slot[None, :] > 0, slot[None, :] - 1, cnt[:, None] - 1)
-    prev_slot = np.clip(prev_slot, 0, V - 1)
-    rows = np.arange(n)[:, None].repeat(V, axis=1)
-    dup = (
-        (P[:, :, 0] == P[rows, prev_slot, 0])
-        & (P[:, :, 1] == P[rows, prev_slot, 1])
-        & valid
-        & (cnt[:, None] > 1)
-    )
-    keep = valid & ~dup
-    kcnt = keep.sum(axis=1)
-    nonempty = kcnt >= 3
-    if not nonempty.any():
+    n = len(cnt)
+    ne = np.flatnonzero(cnt > 0)
+    if not len(ne):
         return [None] * n
-    # flat closed rings: kept vertices in slot order + repeat of first
-    ne = np.flatnonzero(nonempty)
-    closed = kcnt[ne] + 1
-    total = int(closed.sum())
-    coords = np.empty((total, 2))
+    # flat closed rings: the open vertices + a repeat of the first
+    kcnt = cnt[ne]
     ring_off = np.zeros(len(ne) + 1, dtype=np.int64)
-    np.cumsum(closed, out=ring_off[1:])
-    r, sl = np.nonzero(keep[ne])
-    # position within each ring = running index minus the ring's start
-    starts = np.zeros(len(ne), dtype=np.int64)
-    np.cumsum(kcnt[ne][:-1], out=starts[1:])
-    within = np.arange(len(r), dtype=np.int64) - starts[r]
-    coords[ring_off[r] + within] = P[ne[r], sl]
-    first_rows = np.arange(len(ne))
-    coords[ring_off[first_rows + 1] - 1] = coords[ring_off[first_rows]]
+    np.cumsum(kcnt + 1, out=ring_off[1:])
+    coords = np.empty((int(ring_off[-1]), 2))
+    r, sl = np.nonzero(np.arange(P.shape[1])[None, :] < kcnt[:, None])
+    coords[ring_off[r] + sl] = P[ne[r], sl]
+    coords[ring_off[1:] - 1] = coords[ring_off[:-1]]
     m = len(ne)
     arr = GeometryArray(
         types=np.full(m, POLYGON, dtype=np.int8),
@@ -421,8 +643,7 @@ def padded_to_wkb(P: np.ndarray, cnt: np.ndarray) -> list[bytes | None]:
         ring_offsets=ring_off,
         coords=coords,
     )
-    blobs = to_wkb(arr)
     out: list[bytes | None] = [None] * n
-    for pos, i in enumerate(ne):
-        out[int(i)] = blobs[pos]
+    for i, blob in zip(ne, to_wkb(arr)):
+        out[int(i)] = blob
     return out

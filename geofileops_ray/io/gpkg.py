@@ -21,6 +21,7 @@ _geoops_sql.py:856-919).
 
 from __future__ import annotations
 
+import errno
 import os
 import sqlite3
 import struct
@@ -82,6 +83,8 @@ def gpkg_unwrap(blob: bytes | None) -> bytes | None:
 
 
 def _ro(path: str) -> sqlite3.Connection:
+    if not os.path.isfile(path):
+        raise FileNotFoundError(errno.ENOENT, "GeoPackage not found", path)
     return sqlite3.connect(f"file:{os.path.abspath(path)}?mode=ro", uri=True)
 
 
@@ -168,7 +171,6 @@ def read_gpkg(
     ] or [(1, 0)]
 
     names = [n for n, _d, _p in sel_cols]
-    pk_name = next((n for n, _d, p in sel_cols if p), None)
     out_fields: list[pa.Field] = [pa.field("fid", pa.int64())]
     for n, decl, pk in sel_cols:
         if pk or n == geom_col:
@@ -232,7 +234,6 @@ def read_gpkg(
     return ray.data.from_arrow(rng).map_batches(
         read_range, batch_format="pyarrow", batch_size=1
     )
-    _ = pk_name  # fid source is _rowid_ (== the INTEGER PRIMARY KEY)
 
 
 _SRS_BASE = [
@@ -315,6 +316,13 @@ def write_gpkg(
         n_rows = 0
         for batch in ds.iter_batches(batch_format="pyarrow", batch_size=None):
             if first:
+                for f in batch.schema:
+                    if pa.types.is_nested(f.type):
+                        raise TypeError(
+                            f"write_gpkg: column {f.name!r} has nested type "
+                            f"{f.type}; GeoPackage columns hold scalars, so "
+                            "drop or flatten it before writing"
+                        )
                 attr_cols = [
                     (f.name, _sql_type(f.type))
                     for f in batch.schema

@@ -1769,10 +1769,12 @@ SELECT doc_id, ROUND(4 * OPPERVL, 4) AS area_scaled FROM parcels ORDER BY 1"""
 # The lshapes layer (io/synth.py synth_lshapes_batch) is the CONCAVE
 # counterpart of the rect/triangle layers above: interlocking staircase
 # L-shapes whose bbox covers their own notch, so bbox candidates exist
-# that do NOT intersect — exactly the case where (a) the general
-# non-convex kernels must run (the convex SAT/Sutherland–Hodgman fast
-# paths cannot) and (b) disjoint-query De-Morgan semantics diverge from
-# naive EXISTS (reference _geoops_sql.py:2436-2445). The DuckDB mirror
+# that do NOT intersect — exactly the case where (a) the non-convex
+# paths must run (the convex SAT predicates cannot; overlays clip each
+# L by a rect/convex partner and send bridged results, whose answer is
+# a MultiPolygon, to the general sweep) and (b) disjoint-query De-Morgan
+# semantics diverge from naive EXISTS (reference
+# _geoops_sql.py:2436-2445). The DuckDB mirror
 # decomposes each L into two interior-disjoint rects r1/r2.
 
 LSH_CTE = f"WITH {LSHAPES_CTE.strip()}, {ZONES_CTE.strip()}, {POINTS_CTE.strip()}"

@@ -160,9 +160,11 @@ def _pairwise_overlay_geoms(
 ) -> list[bytes | None]:
     """Pairwise g1 ∩ g2 per candidate pair, WKB-encoded; empty → None.
 
-    rect×rect pairs (the dominant case) take a fully vectorized path:
-    the intersection of two axis-aligned rectangles IS the overlap box —
-    no sweep, one batched WKB construction."""
+    Paths, in order: rect×rect pairs are the overlap box; a subject
+    inside a rect partner is copied; a small single ring × rect or
+    convex ring is clipped in one batch (convexclip.clip_pairs); only
+    the rest, and clipped rings that are not a simple polygon, take the
+    per-pair sweep."""
     from ..geom.wkb import _fast_encode
     from .relation import detect_rects
 
@@ -193,42 +195,11 @@ def _pairwise_overlay_geoms(
             blobs = arr.to_pylist()
             for pos, kk_i in enumerate(kk):
                 out[kk_i] = blobs[pos]
-    # convex×rect pairs: batched Sutherland-Hodgman clip (one numpy pass
-    # over all such pairs), the common case for irregular layer × tile
-    # or zone rectangles — no per-pair sweep
-    if not fast.all():
-        from ..geom.convexclip import (
-            MAX_CONVEX_VERTS,
-            clip_convex_by_rects,
-            convex_single_ring,
-            padded_to_wkb,
-        )
-
-        def _small(gc: GeometryArray) -> np.ndarray:
-            geo, po, ro = gc.geom_offsets, gc.part_offsets, gc.ring_offsets
-            return (ro[po[geo[1:]]] - ro[po[geo[:-1]]]) <= MAX_CONVEX_VERTS
-
-        cvx1 = convex_single_ring(ga1) & _small(ga1)
-        cvx2 = convex_single_ring(ga2) & _small(ga2)
-        c1 = ~fast & cvx1[ia] & r2[ib] & (ga2.types[ib] == POLYGON)
-        c2 = ~fast & ~c1 & cvx2[ib] & r1[ia] & (ga1.types[ia] == POLYGON)
-        for sel, gc, ic, gr, ir in (
-            (c1, ga1, ia, ga2, ib),
-            (c2, ga2, ib, ga1, ia),
-        ):
-            if not sel.any():
-                continue
-            k = np.flatnonzero(sel)
-            rects = gr.bounds()[ir[k]]
-            P, cnt = clip_convex_by_rects(gc, ic[k], rects)
-            blobs = padded_to_wkb(P, cnt)
-            for pos, kk_i in enumerate(k):
-                out[kk_i] = blobs[pos]
-            fast = fast | sel
     # ANY-shape subject fully inside a rect partner: the intersection IS
     # the subject — one batched byte copy, no sweep (the dominant case
-    # for small features × large tile/zone rectangles; for the lshape ×
-    # zone bench ~90% of pairs take this path)
+    # for small features × large tile/zone rectangles: ~80% of the
+    # lshape × zone pairs at sf0.01; the rest cross a zone edge and take
+    # the clip below)
     if not fast.all():
         for sel_rect, gsub, isub, grect, irect in (
             (r2, ga1, ia, ga2, ib),
@@ -252,6 +223,18 @@ def _pairwise_overlay_geoms(
                 for pos, kk_i in enumerate(k):
                     out[kk_i] = blobs[pos]
                 fast = fast | cov
+    # small single ring × rect or convex ring: batched Sutherland-Hodgman
+    # clip (one numpy pass over all such pairs, e.g. every L-shape ×
+    # triangle pair); rings that fold into a bridge or spike (a
+    # MultiPolygon or touch-only answer) go on to the sweep
+    if not fast.all():
+        from ..geom.convexclip import clip_pairs, padded_to_wkb
+
+        k, P, cnt, ok = clip_pairs(ga1, ia, ga2, ib, r1, r2, ~fast)
+        k, P, cnt = k[ok], P[ok], cnt[ok]
+        for kk_i, blob in zip(k, padded_to_wkb(P, cnt)):
+            out[kk_i] = blob
+        fast[k] = True
     # general fallback pairs: sweep per pair, but assemble + WKB-encode
     # the whole batch ONCE (per-pair from_parts/to_wkb was ~15% of the
     # fallback path's time)
@@ -498,17 +481,12 @@ def _interior_pairs_mask(
     m = len(ia)
     if m == 0:
         return np.zeros(0, dtype=bool)
-    from ..geom.convexclip import MAX_CONVEX_VERTS, convex_single_ring
+    from ..geom.convexclip import clip_operands
     from .relation import RelationQuery, detect_rects, evaluate_pairs
 
     r1, r2 = detect_rects(ga1), detect_rects(ga2)
-
-    def _small(gc: GeometryArray) -> np.ndarray:
-        geo, po, ro = gc.geom_offsets, gc.part_offsets, gc.ring_offsets
-        return (ro[po[geo[1:]]] - ro[po[geo[:-1]]]) <= MAX_CONVEX_VERTS
-
-    cvx1 = convex_single_ring(ga1) & _small(ga1)
-    cvx2 = convex_single_ring(ga2) & _small(ga2)
+    cvx1 = clip_operands(ga1)[1]
+    cvx2 = clip_operands(ga2)[1]
     eligible = (
         (r1[ia] & r2[ib])
         | (cvx1[ia] & r2[ib] & (ga2.types[ib] == POLYGON))

@@ -423,18 +423,10 @@ def evaluate_pairs(
     if named and not done.all():
         # convex×rect pairs: one vectorized separating-axis pass for the
         # whole batch instead of per-pair python predicates
-        from ..geom.convexclip import (
-            MAX_CONVEX_VERTS,
-            convex_rect_predicates,
-            convex_single_ring,
-        )
+        from ..geom.convexclip import clip_operands, convex_rect_predicates
 
-        def _small(gc: GeometryArray) -> np.ndarray:
-            geo, po, ro = gc.geom_offsets, gc.part_offsets, gc.ring_offsets
-            return (ro[po[geo[1:]]] - ro[po[geo[:-1]]]) <= MAX_CONVEX_VERTS
-
-        cvx1 = convex_single_ring(ga1) & _small(ga1)
-        cvx2 = convex_single_ring(ga2) & _small(ga2)
+        cvx1 = clip_operands(ga1)[1]
+        cvx2 = clip_operands(ga2)[1]
         c1 = ~done & cvx1[ia] & r2[ib] & (ga2.types[ib] == POLYGON)
         c2 = ~done & ~c1 & cvx2[ib] & r1[ia] & (ga1.types[ia] == POLYGON)
         for sel, gc, ic, gr, ir, swapped in (

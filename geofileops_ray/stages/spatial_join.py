@@ -443,7 +443,9 @@ def _pair_table(g1: pa.Table, ia: np.ndarray, g2: pa.Table, ib: np.ndarray) -> p
 def _pair_intersection_areas(
     ga1: GeometryArray, ia: np.ndarray, ga2: GeometryArray, ib: np.ndarray
 ) -> np.ndarray:
-    """Exact area of g1∩g2 per pair (rect fast path, sweep otherwise)."""
+    """Exact area of g1∩g2 per pair (rect and clip fast paths, sweep
+    otherwise)."""
+    from ..geom.convexclip import clip_areas, clip_pairs
     from ..geom.overlay import polygon_overlay, ring_signed_area
     from .relation import detect_rects
 
@@ -460,33 +462,12 @@ def _pair_intersection_areas(
         w = np.minimum(b1[:, 2], b2[:, 2]) - np.maximum(b1[:, 0], b2[:, 0])
         h = np.minimum(b1[:, 3], b2[:, 3]) - np.maximum(b1[:, 1], b2[:, 1])
         out[k] = np.maximum(w, 0) * np.maximum(h, 0)
-    # convex×rect pairs: batched Sutherland-Hodgman clip, no per-pair sweep
+    # small ring × rect / convex ring: batched clip; every result ring's
+    # shoelace area is exact (a bridge's two edges cancel), trusted or not
     if not fast.all():
-        from ..geom.array import POLYGON
-        from ..geom.convexclip import (
-            MAX_CONVEX_VERTS,
-            clip_areas,
-            clip_convex_by_rects,
-            convex_single_ring,
-        )
-
-        def _small(gc: GeometryArray) -> np.ndarray:
-            geo, po, ro = gc.geom_offsets, gc.part_offsets, gc.ring_offsets
-            return (ro[po[geo[1:]]] - ro[po[geo[:-1]]]) <= MAX_CONVEX_VERTS
-
-        cvx1 = convex_single_ring(ga1) & _small(ga1)
-        cvx2 = convex_single_ring(ga2) & _small(ga2)
-        c1 = ~fast & cvx1[ia] & r2[ib] & (ga2.types[ib] == POLYGON)
-        c2 = ~fast & ~c1 & cvx2[ib] & r1[ia] & (ga1.types[ia] == POLYGON)
-        for sel, gc, ic, gr, ir in (
-            (c1, ga1, ia, ga2, ib),
-            (c2, ga2, ib, ga1, ia),
-        ):
-            if sel.any():
-                k = np.flatnonzero(sel)
-                P, cnt = clip_convex_by_rects(gc, ic[k], gr.bounds()[ir[k]])
-                out[k] = clip_areas(P, cnt)
-                fast = fast | sel
+        k, P, cnt, _ = clip_pairs(ga1, ia, ga2, ib, r1, r2, ~fast, check=False)
+        out[k] = clip_areas(P, cnt)
+        fast[k] = True
     for k in np.flatnonzero(~fast):
         i, j = int(ia[k]), int(ib[k])
         parts = polygon_overlay(ga1._parts_of(i), ga2._parts_of(j), "intersection")

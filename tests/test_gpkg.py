@@ -84,6 +84,40 @@ def test_gpkg_roundtrip_and_metadata(ray_session, tmp_path):
     assert to_wkt(from_wkb(back.column("geometry"))) == WKTS
 
 
+@pytest.mark.parametrize(
+    "col",
+    [
+        pa.array([[1, 2], []], pa.list_(pa.int64())),
+        pa.array([{"a": 1}, {"a": 2}], pa.struct([("a", pa.int64())])),
+        pa.array([[("k", 1)], []], pa.map_(pa.string(), pa.int64())),
+    ],
+    ids=["list", "struct", "map"],
+)
+def test_gpkg_nested_column_rejected(ray_session, tmp_path, col):
+    """A nested column has no GeoPackage column type: write_gpkg names
+    the column and its Arrow type before writing any row, instead of
+    failing inside sqlite3 with a generic binding error."""
+    wkb = to_wkb(from_wkt(["POINT (1 2)", "POINT (3 4)"]))
+    t = pa.table({"nested": col, "geometry": pa.array(wkb, pa.binary())})
+    p = str(tmp_path / "nested.gpkg")
+    with pytest.raises(TypeError, match=r"'nested'.*" + str(col.type)[:4]):
+        write_gpkg(ray.data.from_arrow(t), p)
+    con = sqlite3.connect(p)
+    try:
+        assert con.execute(
+            "SELECT 1 FROM sqlite_master WHERE name = 'nested'"
+        ).fetchone() is None
+    finally:
+        con.close()
+
+
+def test_gpkg_missing_file(tmp_path):
+    p = str(tmp_path / "absent.gpkg")
+    for fn in (read_gpkg, listlayers_gpkg):
+        with pytest.raises(FileNotFoundError, match="absent.gpkg"):
+            fn(p)
+
+
 def test_gpkg_dispatch_where_bbox(ray_session, tmp_path):
     ds, _t = _sample_ds()
     p = str(tmp_path / "layer.gpkg")
