@@ -29,7 +29,7 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS") or os.cpu_count() or 1)
 REPEAT = int(os.environ.get("BENCH_REPEAT", "0"))  # 0 = auto (≈500k rows)
 SCALING_REPEAT = int(os.environ.get("BENCH_SCALING_REPEAT", "0"))  # 0 = auto (≈8M)
 

@@ -8,7 +8,8 @@ struct + numpy:
 
 * ``.shp`` — geometry records: 2D Point / MultiPoint / PolyLine /
   Polygon (Z/M variants read with the extra dimensions dropped, the
-  engine's 2D model — same degrade as the WKB decoder).
+  engine's 2D model — same degrade as the WKB decoder). MultiPatch
+  and unknown shape types raise ``ValueError``.
 * ``.dbf`` — dBase III attribute table (C/N/F/L/D field types).
 * ``.shx`` — record offset index (written; reads scan ``.shp``
   directly).
@@ -89,7 +90,12 @@ def _assemble_polygon(rings: list[np.ndarray]) -> tuple[int, list]:
     return MULTIPOLYGON, parts
 
 
-def _parse_shp(buf: bytes) -> list[tuple[int, list]]:
+# Null, Point, PolyLine, Polygon, MultiPoint and their Z (+10) and M
+# (+20) variants; MultiPatch (31) and unknown codes are not read
+_SHP_TYPES = frozenset({0, 1, 3, 5, 8, 11, 13, 15, 18, 21, 23, 25, 28})
+
+
+def _parse_shp(buf: bytes, path: str) -> list[tuple[int, list]]:
     """.shp bytes → list of (type, parts) in GeometryArray convention."""
     geoms: list[tuple[int, list]] = []
     n = len(buf)
@@ -99,7 +105,11 @@ def _parse_shp(buf: bytes) -> list[tuple[int, list]]:
         pos += 8
         end = pos + clen * 2
         (stype,) = struct.unpack_from("<i", buf, pos)
-        base = stype % 10 if stype else 0  # Z(+10/13/15/18…) / M variants
+        if stype not in _SHP_TYPES:
+            raise ValueError(
+                f"unsupported shapefile shape type {stype} in {path}"
+            )
+        base = stype % 10  # Z(+10) / M(+20) variants
         p = pos + 4
         if stype == 0:
             geoms.append((MISSING, []))
@@ -115,7 +125,7 @@ def _parse_shp(buf: bytes) -> list[tuple[int, list]]:
                 (MULTIPOINT,
                  [[pts[i : i + 1].astype(np.float64)] for i in range(npts)])
             )
-        elif base in (3, 5):  # PolyLine / Polygon
+        else:  # PolyLine / Polygon
             nparts, npts = struct.unpack_from("<ii", buf, p + 32)
             offs = np.frombuffer(buf, "<i4", nparts, p + 40)
             pts = np.frombuffer(
@@ -141,8 +151,6 @@ def _parse_shp(buf: bytes) -> list[tuple[int, list]]:
                     geoms.append(_assemble_polygon(rings))
                 else:
                     geoms.append((POLYGON, []))
-        else:
-            raise ValueError(f"unsupported shapefile shape type {stype}")
         pos = end
     return geoms
 
@@ -203,7 +211,7 @@ def read_shapefile(
     from ..geom.wkb import to_wkb_arrow
 
     with open(path, "rb") as fh:
-        geoms = _parse_shp(fh.read())
+        geoms = _parse_shp(fh.read(), path)
     dbf_path = os.path.splitext(path)[0] + ".dbf"
     fields: list = []
     rows: list = []

@@ -2,6 +2,7 @@
 spec-conformant metadata, r-tree bbox pushdown, parallel rowid-range
 read, read_file/to_file dispatch."""
 
+import os
 import sqlite3
 
 import numpy as np
@@ -102,13 +103,44 @@ def test_gpkg_nested_column_rejected(ray_session, tmp_path, col):
     p = str(tmp_path / "nested.gpkg")
     with pytest.raises(TypeError, match=r"'nested'.*" + str(col.type)[:4]):
         write_gpkg(ray.data.from_arrow(t), p)
-    con = sqlite3.connect(p)
-    try:
-        assert con.execute(
-            "SELECT 1 FROM sqlite_master WHERE name = 'nested'"
-        ).fetchone() is None
-    finally:
-        con.close()
+    assert os.listdir(tmp_path) == []  # no layer-less file, no temp file
+
+
+def test_gpkg_failed_write_keeps_existing_file(ray_session, tmp_path):
+    """The write goes to a temporary file that replaces ``path`` only on
+    success: a failing write leaves the old GeoPackage byte-identical."""
+    ds, _t = _sample_ds()
+    p = tmp_path / "layer.gpkg"
+    write_gpkg(ds, str(p))
+    before = p.read_bytes()
+    wkb = to_wkb(from_wkt(["POINT (1 2)"]))
+    bad = pa.table(
+        {
+            "nested": pa.array([[1]], pa.list_(pa.int64())),
+            "geometry": pa.array(wkb, pa.binary()),
+        }
+    )
+    with pytest.raises(TypeError, match="nested"):
+        write_gpkg(ray.data.from_arrow(bad), str(p))
+    assert p.read_bytes() == before
+    assert os.listdir(tmp_path) == ["layer.gpkg"]
+
+
+def test_gpkg_boolean_roundtrip(ray_session, tmp_path):
+    """A bool column is declared BOOLEAN and read back as bool, NULLs
+    kept."""
+    wkb = to_wkb(from_wkt(["POINT (1 2)", "POINT (3 4)", "POINT (5 6)"]))
+    t = pa.table(
+        {
+            "ok": pa.array([True, None, False], pa.bool_()),
+            "geometry": pa.array(wkb, pa.binary()),
+        }
+    )
+    p = str(tmp_path / "flags.gpkg")
+    write_gpkg(ray.data.from_arrow(t), p)
+    back = collect(read_gpkg(p)).sort_by("fid")
+    assert back.schema.field("ok").type == pa.bool_()
+    assert back.column("ok").to_pylist() == [True, None, False]
 
 
 def test_gpkg_missing_file(tmp_path):
@@ -223,3 +255,184 @@ def test_reads_gdal_written_gpkg(ray_session):
     miss = collect(read_gpkg(p, bbox=(0, 0, 1, 1)))
     assert miss.num_rows == 0
     assert b[0, 0] == pytest.approx(156094.28, abs=0.01)
+
+
+# ---------------------------------------------------------------- r-tree
+
+M = 51  # cells per node: 1228-byte nodes at SQLite's default 4 KiB page
+
+
+def _box_wkts(boxes):
+    return [
+        f"POLYGON (({x0!r} {y0!r}, {x1!r} {y0!r}, {x1!r} {y1!r}, "
+        f"{x0!r} {y1!r}, {x0!r} {y0!r}))"
+        for x0, y0, x1, y1 in np.asarray(boxes).tolist()
+    ]
+
+
+def _random_boxes(n, seed):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-500.0, 1500.0, (n, 2))
+    size = rng.uniform(0.01, 40.0, (n, 2))
+    return np.hstack([lo, lo + size])
+
+
+def _write_boxes(tmp_path, boxes, fid=None, name="boxes"):
+    t = pa.table(
+        {
+            **({} if fid is None else {"fid": pa.array(fid, pa.int64())}),
+            "geometry": pa.array(to_wkb(from_wkt(_box_wkts(boxes))), pa.binary()),
+        }
+    )
+    p = str(tmp_path / f"{name}.gpkg")
+    write_gpkg(ray.data.from_arrow(t), p)
+    return p, f"rtree_{name}_geometry"
+
+
+def _rtree_rows(con, rtree):
+    return con.execute(f'SELECT * FROM "{rtree}" ORDER BY id').fetchall()
+
+
+@pytest.mark.parametrize(
+    "n,depth,nodes", [(1, 0, 1), (M, 0, 1), (M + 1, 1, 3), (M * M + 1, 2, 55)]
+)
+def test_rtree_packed_tree_shape(ray_session, tmp_path, n, depth, nodes):
+    """STR-packed trees of 1, M, M+1 and M²+1 entries: SQLite's own
+    rtreecheck() accepts each, the root records the expected depth,
+    nodes are full (M²+1 entries take 52 leaves, 2 inner nodes and the
+    root) and every row is indexed once."""
+    p, rt = _write_boxes(tmp_path, _random_boxes(n, seed=n))
+    con = sqlite3.connect(p)
+    try:
+        (root,) = con.execute(
+            f'SELECT data FROM "{rt}_node" WHERE nodeno = 1'
+        ).fetchone()
+        assert len(root) == 4 + 24 * M
+        assert int.from_bytes(root[:2], "big") == depth
+        assert con.execute(f"SELECT rtreecheck('{rt}')").fetchone() == ("ok",)
+        assert con.execute(f'SELECT count(*) FROM "{rt}"').fetchone() == (n,)
+        assert con.execute(f'SELECT count(*) FROM "{rt}_node"').fetchone() == (nodes,)
+    finally:
+        con.close()
+
+
+def test_rtree_matches_sqlite_inserts(ray_session, tmp_path):
+    """Stored float32 boxes and the ids every window query returns are
+    those of an rtree filled by SQLite INSERTs of the same float64
+    bounds."""
+    boxes = _random_boxes(3000, seed=7)
+    p, rt = _write_boxes(tmp_path, boxes)
+    con = sqlite3.connect(p)
+    try:
+        con.execute("CREATE VIRTUAL TABLE ref USING rtree(id, minx, maxx, miny, maxy)")
+        con.executemany(
+            "INSERT INTO ref VALUES (?,?,?,?,?)",
+            [(i + 1, b[0], b[2], b[1], b[3]) for i, b in enumerate(boxes.tolist())],
+        )
+        assert _rtree_rows(con, rt) == _rtree_rows(con, "ref")
+        rng = np.random.default_rng(8)
+        for x, y, w in zip(*rng.uniform([-600, -600, 1], [1600, 1600, 300], (300, 3)).T):
+            cond = f"minx <= {x + w!r} AND maxx >= {x!r} AND miny <= {y + w!r} AND maxy >= {y!r}"
+            got = con.execute(f'SELECT id FROM "{rt}" WHERE {cond} ORDER BY id').fetchall()
+            ref = con.execute(f"SELECT id FROM ref WHERE {cond} ORDER BY id").fetchall()
+            assert got == ref
+    finally:
+        con.close()
+
+
+def test_rtree_float32_boxes_contain_bounds(ray_session, tmp_path):
+    """Coordinates float32 cannot hold round outward: mins down, maxes
+    up, on both sides of zero."""
+    boxes = np.array(
+        [
+            [0.1, 0.1, 1e7 + 0.3, 1e7 + 0.3],
+            [-1e7 - 0.3, -0.1, -0.1, 0.1],
+            [1e7 + 0.3, -1e7 - 0.7, 1e7 + 0.7, -1e7 - 0.3],
+        ]
+    )
+    p, rt = _write_boxes(tmp_path, boxes)
+    con = sqlite3.connect(p)
+    try:
+        rows = _rtree_rows(con, rt)
+    finally:
+        con.close()
+    for (rid, minx, maxx, miny, maxy), b in zip(rows, boxes):
+        assert minx <= b[0] and miny <= b[1] and maxx >= b[2] and maxy >= b[3]
+        assert [minx, maxx, miny, maxy] != [b[0], b[2], b[1], b[3]]
+
+
+def test_rtree_skips_null_and_empty(ray_session, tmp_path):
+    """NULL and EMPTY geometries get a fid but no r-tree entry; a layer
+    of nothing else gets an empty, valid r-tree."""
+    wkts = ["POINT (1 2)", "POLYGON EMPTY", None, "LINESTRING (0 0, 5 5)",
+            "POINT EMPTY"]
+    wkb = [None if w is None else to_wkb(from_wkt([w]))[0] for w in wkts]
+    cases = {"mixed": wkb, "none": [wkb[1], None, wkb[4]]}
+    for name, geoms in cases.items():
+        t = pa.table({"geometry": pa.array(geoms, pa.binary())})
+        p = str(tmp_path / f"{name}.gpkg")
+        write_gpkg(ray.data.from_arrow(t), p)
+        rt = f"rtree_{name}_geometry"
+        con = sqlite3.connect(p)
+        try:
+            assert con.execute(f"SELECT rtreecheck('{rt}')").fetchone() == ("ok",)
+            ids = [r[0] for r in _rtree_rows(con, rt)]
+            fids = [r[0] for r in con.execute(f'SELECT fid FROM "{name}"')]
+        finally:
+            con.close()
+        assert fids == list(range(1, len(geoms) + 1))
+        assert ids == ([1, 4] if name == "mixed" else [])
+
+
+def test_rtree_explicit_unsorted_fids(ray_session, tmp_path):
+    """An explicit, unsorted fid column indexes each row under its own
+    fid: the bbox read around each box finds exactly that row."""
+    boxes = np.array([[10 * i, 0, 10 * i + 5, 5] for i in range(120)], float)
+    fids = np.random.default_rng(3).permutation(np.arange(1000, 1120))
+    p, rt = _write_boxes(tmp_path, boxes, fid=fids)
+    con = sqlite3.connect(p)
+    try:
+        assert con.execute(f"SELECT rtreecheck('{rt}')").fetchone() == ("ok",)
+        stored = {r[0]: r[1] for r in _rtree_rows(con, rt)}
+    finally:
+        con.close()
+    assert {int(f): float(b[0]) for f, b in zip(fids, boxes)} == stored
+    hit = collect(read_gpkg(p, bbox=(51.0, 1.0, 54.0, 4.0)))
+    assert hit.column("fid").to_pylist() == [int(fids[5])]
+
+
+def test_rtree_null_fids_numbered_like_autoincrement(ray_session, tmp_path):
+    """NULL fids get the rowids SQLite's AUTOINCREMENT would give them,
+    and the r-tree indexes each row under its rowid."""
+    fid = [None, 7, None, 3, None, None, 20, None]
+    boxes = np.array([[i, i, i + 1, i + 1] for i in range(len(fid))], float)
+    p, rt = _write_boxes(tmp_path, boxes, fid=fid)
+    ref = sqlite3.connect(":memory:")
+    ref.execute("CREATE TABLE t (fid INTEGER PRIMARY KEY AUTOINCREMENT, k)")
+    ref.executemany("INSERT INTO t VALUES (?,?)", [(f, k) for k, f in enumerate(fid)])
+    expect = [r[0] for r in ref.execute("SELECT fid FROM t ORDER BY k")]
+    ref.close()
+    con = sqlite3.connect(p)
+    try:
+        fids = [r[0] for r in con.execute('SELECT fid FROM "boxes" ORDER BY fid')]
+        by_minx = {r[1]: r[0] for r in _rtree_rows(con, rt)}
+    finally:
+        con.close()
+    assert fids == sorted(expect)
+    assert [by_minx[float(i)] for i in range(len(fid))] == expect
+
+
+def test_rtree_insert_after_bulk_load(ray_session, tmp_path):
+    """SQLite keeps maintaining a bulk-loaded tree: an INSERT into the
+    depth-2 tree leaves rtreecheck() ok and the new row findable."""
+    p, rt = _write_boxes(tmp_path, _random_boxes(M * M + 1, seed=5))
+    con = sqlite3.connect(p)
+    try:
+        con.execute(f'INSERT INTO "{rt}" VALUES (999999, 1, 2, 3, 4)')
+        assert con.execute(f"SELECT rtreecheck('{rt}')").fetchone() == ("ok",)
+        assert con.execute(
+            f'SELECT id FROM "{rt}" WHERE minx >= 0.5 AND maxx <= 2.5'
+            " AND miny >= 2.5 AND maxy <= 4.5"
+        ).fetchall() == [(999999,)]
+    finally:
+        con.close()

@@ -96,6 +96,27 @@ def test_header_layout(ray_session, tmp_path):
     assert struct.unpack_from(">i", shx, 24)[0] * 2 == len(shx)
 
 
+def test_multipatch_refused(tmp_path):
+    """A MultiPatch (type 31) record is refused by name, not parsed as a
+    Point because 31 % 10 == 1."""
+    xy = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    content = (
+        struct.pack("<i4d", 31, 0.0, 0.0, 1.0, 1.0)
+        + struct.pack("<iiii", 1, 3, 0, 0)  # 1 triangle strip of 3 points
+        + b"".join(struct.pack("<2d", x, y) for x, y in xy)
+        + struct.pack("<5d", 0.0, 0.0, 0.0, 0.0, 0.0)  # Z range + Zs
+    )
+    record = struct.pack(">ii", 1, len(content) // 2) + content
+    header = (
+        struct.pack(">i20xi", 9994, (100 + len(record)) // 2)
+        + struct.pack("<ii4d32x", 1000, 31, 0.0, 0.0, 1.0, 1.0)
+    )
+    p = tmp_path / "patch.shp"
+    p.write_bytes(header + record)
+    with pytest.raises(ValueError, match=r"shape type 31 in .*patch\.shp"):
+        read_shapefile(str(p))
+
+
 def test_synthetic_corpus_pipeline(ray_session, tmp_path):
     """parcels → shapefile → re-read → buffer area equivalence."""
     import geofileops_ray.io as gio

@@ -54,19 +54,22 @@ def _typed(rows):
 
 
 def main() -> int:
-    args = [a for a in sys.argv[1:] if not a.startswith("--")]
+    flags: dict[str, str] = {}
+    args = []
+    argv = iter(sys.argv[1:])
+    for a in argv:
+        if a.startswith("--"):
+            name, eq, val = a[2:].partition("=")
+            val = val if eq else next(argv, None)  # "--cpus=4" or "--cpus 4"
+            if val is None:
+                sys.exit(f"gatesim: --{name} needs a value")
+            flags[name] = val
+        else:
+            args.append(a)
     sf = args[0] if args else "/root/testdata/sf0.01"
-    cpus = 32
-    window = None
-    only = None
-    for a in sys.argv[1:]:
-        if a.startswith("--cpus"):
-            cpus = int(a.split("=", 1)[1] if "=" in a else sys.argv[sys.argv.index(a) + 1])
-        if a.startswith("--window"):
-            window = int(a.split("=", 1)[1] if "=" in a else sys.argv[sys.argv.index(a) + 1])
-        if a.startswith("--only"):
-            only = (a.split("=", 1)[1] if "=" in a
-                    else sys.argv[sys.argv.index(a) + 1])
+    cpus = int(flags.get("cpus", 32))
+    window = int(flags["window"]) if "window" in flags else None
+    only = flags.get("only")
 
     import duckdb
     import ray
