@@ -21,7 +21,10 @@ _geoops_sql.py:856-919) into a temporary file beside ``path``, which
 r-tree is bulk-loaded the way GDAL (>= 3.7) builds it: the bounds the
 write loop computes are Sort-Tile-Recursive packed (Leutenegger et al.,
 ICDE 1997) into full nodes, written straight into SQLite's rtree shadow
-tables, instead of one R*-tree INSERT per row.
+tables, instead of one R*-tree INSERT per row. The index is declared in
+``gpkg_extensions`` with the extension's triggers, so edits by another
+client keep it current, and EMPTY geometries carry the blob header's
+empty flag.
 """
 
 from __future__ import annotations
@@ -442,6 +445,91 @@ def _create_metadata(con: sqlite3.Connection, srs_id: int) -> None:
     )
 
 
+# The GeoPackage RTree Spatial Index extension's triggers (GeoPackage
+# 1.4, F.3), keeping rtree_<t>_<c> in step with edits made by any
+# client that provides the ST_* functions. {t} table, {c} geometry
+# column, {i} the integer primary key.
+_RTREE_TRIGGERS = {
+    "insert": """AFTER INSERT ON "{t}"
+  WHEN (new."{c}" NOT NULL AND NOT ST_IsEmpty(NEW."{c}"))
+BEGIN
+  INSERT OR REPLACE INTO "rtree_{t}_{c}" VALUES (NEW."{i}",
+    ST_MinX(NEW."{c}"), ST_MaxX(NEW."{c}"),
+    ST_MinY(NEW."{c}"), ST_MaxY(NEW."{c}"));
+END""",
+    "update6": """AFTER UPDATE OF "{c}" ON "{t}"
+  WHEN OLD."{i}" = NEW."{i}" AND
+       (NEW."{c}" NOTNULL AND NOT ST_IsEmpty(NEW."{c}")) AND
+       (OLD."{c}" NOTNULL AND NOT ST_IsEmpty(OLD."{c}"))
+BEGIN
+  UPDATE "rtree_{t}_{c}" SET
+    minx = ST_MinX(NEW."{c}"), maxx = ST_MaxX(NEW."{c}"),
+    miny = ST_MinY(NEW."{c}"), maxy = ST_MaxY(NEW."{c}")
+  WHERE id = NEW."{i}";
+END""",
+    "update7": """AFTER UPDATE OF "{c}" ON "{t}"
+  WHEN OLD."{i}" = NEW."{i}" AND
+       (NEW."{c}" NOTNULL AND NOT ST_IsEmpty(NEW."{c}")) AND
+       (OLD."{c}" ISNULL OR ST_IsEmpty(OLD."{c}"))
+BEGIN
+  INSERT INTO "rtree_{t}_{c}" VALUES (NEW."{i}",
+    ST_MinX(NEW."{c}"), ST_MaxX(NEW."{c}"),
+    ST_MinY(NEW."{c}"), ST_MaxY(NEW."{c}"));
+END""",
+    "update2": """AFTER UPDATE OF "{c}" ON "{t}"
+  WHEN OLD."{i}" = NEW."{i}" AND
+       (NEW."{c}" ISNULL OR ST_IsEmpty(NEW."{c}"))
+BEGIN
+  DELETE FROM "rtree_{t}_{c}" WHERE id = OLD."{i}";
+END""",
+    "update5": """AFTER UPDATE ON "{t}"
+  WHEN OLD."{i}" != NEW."{i}" AND
+       (NEW."{c}" NOTNULL AND NOT ST_IsEmpty(NEW."{c}"))
+BEGIN
+  DELETE FROM "rtree_{t}_{c}" WHERE id = OLD."{i}";
+  INSERT OR REPLACE INTO "rtree_{t}_{c}" VALUES (NEW."{i}",
+    ST_MinX(NEW."{c}"), ST_MaxX(NEW."{c}"),
+    ST_MinY(NEW."{c}"), ST_MaxY(NEW."{c}"));
+END""",
+    "update4": """AFTER UPDATE ON "{t}"
+  WHEN OLD."{i}" != NEW."{i}" AND
+       (NEW."{c}" ISNULL OR ST_IsEmpty(NEW."{c}"))
+BEGIN
+  DELETE FROM "rtree_{t}_{c}" WHERE id IN (OLD."{i}", NEW."{i}");
+END""",
+    "delete": """AFTER DELETE ON "{t}"
+  WHEN old."{c}" NOT NULL
+BEGIN
+  DELETE FROM "rtree_{t}_{c}" WHERE id = OLD."{i}";
+END""",
+}
+
+
+def _register_rtree(con: sqlite3.Connection, table: str, column: str) -> None:
+    """Declare ``rtree_<table>_<column>`` as the layer's spatial index:
+    the ``gpkg_extensions`` row and the extension's triggers, created
+    after the bulk load so none fires during the write."""
+    con.execute(
+        "CREATE TABLE gpkg_extensions (table_name TEXT, column_name TEXT,"
+        " extension_name TEXT NOT NULL, definition TEXT NOT NULL,"
+        " scope TEXT NOT NULL,"
+        " CONSTRAINT ge_tce UNIQUE (table_name, column_name, extension_name))"
+    )
+    con.execute(
+        "INSERT INTO gpkg_extensions VALUES (?,?,?,?,?)",
+        (
+            table, column, "gpkg_rtree_index",
+            "http://www.geopackage.org/spec120/#extension_rtree",
+            "write-only",
+        ),
+    )
+    for name, body in _RTREE_TRIGGERS.items():
+        con.execute(
+            f'CREATE TRIGGER "rtree_{table}_{column}_{name}" '
+            + body.format(t=table, c=column, i="fid")
+        )
+
+
 def write_gpkg(
     ds: ray.data.Dataset,
     path: str,
@@ -493,6 +581,8 @@ def _write_layer(
 
     srs_id = int(epsg) if epsg is not None else 0
     header = gpkg_wrap(b"", srs_id)
+    # the same header with the empty-geometry flag (bit 4) set
+    empty_header = header[:3] + bytes([header[3] | 0b10000]) + header[4:]
     _create_metadata(con, srs_id)
     first = True
     bounds = [np.inf, np.inf, -np.inf, -np.inf]
@@ -541,8 +631,13 @@ def _write_layer(
         last_fid = max(last_fid, int(fids.max()))
         ids.append(fids[ok])
         boxes.append(_rtree_box(b[ok]))
+        headers = pc.if_else(
+            pa.array(ga.is_empty() & ~ga.is_missing()),
+            pa.scalar(empty_header, geom.type),
+            pa.scalar(header, geom.type),
+        )
         blobs = pc.binary_join_element_wise(
-            pa.scalar(header, geom.type), geom, pa.scalar(b"", geom.type)
+            headers, geom, pa.scalar(b"", geom.type)
         )
         con.executemany(
             f'INSERT INTO "{layer}" VALUES ('
@@ -583,3 +678,4 @@ def _write_layer(
         ids_ = np.concatenate(ids)
         if len(ids_):
             _pack_rtree(con, rtree, ids_, np.concatenate(boxes))
+        _register_rtree(con, layer, _GEOM)

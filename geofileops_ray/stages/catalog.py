@@ -200,6 +200,95 @@ def cmp_layers(
     return a == b
 
 
+def subdivide_rows(
+    batch: pa.Table, max_coords: int, column: str = _GEOM
+) -> tuple[pa.Table, np.ndarray]:
+    """The subdivide batch kernel: each row whose ``column`` geometry has
+    more than ``max_coords`` coordinates becomes one row per grid piece,
+    its other columns repeated; every other row keeps its bytes. Returns
+    the new table and each row's ``part_seq`` (0 for untouched rows);
+    the table is ``batch`` itself when no row is over the limit. A WKB
+    byte-length scan picks the rows that may be over it (a 2-D
+    coordinate takes 16 bytes), so only those are decoded."""
+    import pyarrow.compute as pc
+
+    col = batch.column(column)
+    lens = pc.fill_null(pc.binary_length(col), 0).to_numpy(zero_copy_only=False)
+    cand = np.flatnonzero((lens - 9) // 16 > max_coords)
+    untouched = batch, np.zeros(len(batch), np.int64)
+    if len(cand) == 0:
+        return untouched
+    ga = from_wkb(col.take(pa.array(cand, pa.int64())))
+    over = ga.num_coords() > max_coords
+    if not over.any():
+        return untouched
+    big = cand[over]
+    pieces: list[tuple[int, list]] = []
+    npieces = np.ones(len(batch), dtype=np.int64)
+    for k, i in zip(np.flatnonzero(over), big):
+        done = _grid_pieces(ga._parts_of(int(k)), ga.bounds()[k], max_coords)
+        npieces[i] = len(done)
+        pieces.extend(parts_to_geom(res) for res in done)
+    rows = np.repeat(np.arange(len(batch), dtype=np.int64), npieces)
+    starts = np.repeat(np.cumsum(npieces) - npieces, npieces)
+    seq = np.arange(len(rows), dtype=np.int64) - starts
+    # geometry source per output row: the input bytes, or the next piece
+    geom_idx = rows.copy()
+    is_piece = np.zeros(len(batch), dtype=bool)
+    is_piece[big] = True
+    is_piece = is_piece[rows]
+    geom_idx[is_piece] = len(batch) + np.arange(int(is_piece.sum()))
+    orig = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    piece_wkb = to_wkb_arrow(GeometryArray.from_parts(pieces)).cast(orig.type)
+    geom = pa.concat_arrays([orig, piece_wkb]).take(pa.array(geom_idx))
+    out = batch.take(pa.array(rows))
+    out = out.set_column(out.schema.get_field_index(column), column, geom)
+    return out, seq
+
+
+def _grid_pieces(parts: list, b: np.ndarray, max_coords: int) -> list:
+    """Quadtree split of one geometry until each cell piece is under the
+    budget; a split that no longer reduces the piece's coordinate count
+    (budget below the minimum closed-ring size) stops — bounded work
+    even for unsatisfiable budgets.
+    Pad the root bbox: an exact-bbox root makes the first cut edges
+    tangent to the geometry hull (near-parallel overlay = the sweep's
+    worst conditioning); padding keeps every cut line strictly
+    transversal to the boundary extremes."""
+    budget = max(max_coords, 8)
+    pad = 0.01 * max(b[2] - b[0], b[3] - b[1], 1.0)
+    pieces = [(b[0] - pad, b[1] - pad, b[2] + pad, b[3] + pad)]
+    done: list = []
+    for _ in range(6):
+        nxt = []
+        for rect in pieces:
+            res = polygon_overlay(parts, [[_rect_ring(rect)]], "intersection")
+            if not res:
+                continue
+            ncoords = sum(len(r) for p in res for r in p)
+            if ncoords <= budget or rect[2] - rect[0] < 1e-9:
+                done.append(res)
+            else:
+                mx = (rect[0] + rect[2]) / 2
+                my = (rect[1] + rect[3]) / 2
+                nxt.extend(
+                    [
+                        (rect[0], rect[1], mx, my),
+                        (mx, rect[1], rect[2], my),
+                        (rect[0], my, mx, rect[3]),
+                        (mx, my, rect[2], rect[3]),
+                    ]
+                )
+        pieces = nxt
+        if not pieces:
+            break
+    for rect in pieces:  # leftover splits at max depth
+        res = polygon_overlay(parts, [[_rect_ring(rect)]], "intersection")
+        if res:
+            done.append(res)
+    return done
+
+
 def subdivide(
     ds: ray.data.Dataset, max_coords: int | None = None
 ) -> ray.data.Dataset:
@@ -210,85 +299,12 @@ def subdivide(
     ``part_seq`` so downstream re-union by original fid is a groupby."""
     max_coords = max_coords or OPTIONS.subdivide_coords
 
-    def fn(batch: pa.Table) -> pa.Table:
-        ga = decode_geometry(batch)
-        nc = ga.num_coords()
-        big = np.flatnonzero(nc > max_coords)
-        if len(big) == 0:
-            out = batch.append_column(
-                "orig_doc_id", batch.column("doc_id")
-            )
-            return out.append_column(
-                "part_seq", pa.array(np.zeros(len(batch), np.int64))
-            )
-        keep_rows: list[int] = []
-        out_geoms: list[tuple[int, list]] = []
-        seqs: list[int] = []
-        bigset = set(int(i) for i in big)
-        for i in range(len(ga)):
-            if i not in bigset:
-                keep_rows.append(i)
-                out_geoms.append((int(ga.types[i]), ga._parts_of(i)))
-                seqs.append(0)
-                continue
-            b = ga.bounds()[i]
-            # quadtree split until each cell piece is under the budget;
-            # a split that no longer reduces the piece's coordinate count
-            # (budget below the minimum closed-ring size) stops — bounded
-            # work even for unsatisfiable budgets.
-            # Pad the root bbox: an exact-bbox root makes the first cut
-            # edges tangent to the geometry hull (near-parallel overlay =
-            # the sweep's worst conditioning); padding keeps every cut
-            # line strictly transversal to the boundary extremes.
-            budget = max(max_coords, 8)
-            pad = 0.01 * max(b[2] - b[0], b[3] - b[1], 1.0)
-            pieces = [(b[0] - pad, b[1] - pad, b[2] + pad, b[3] + pad)]
-            done: list = []
-            for _ in range(6):
-                nxt = []
-                for rect in pieces:
-                    res = polygon_overlay(
-                        ga._parts_of(i),
-                        [[_rect_ring(rect)]],
-                        "intersection",
-                    )
-                    if not res:
-                        continue
-                    ncoords = sum(len(r) for p in res for r in p)
-                    if ncoords <= budget or rect[2] - rect[0] < 1e-9:
-                        done.append(res)
-                    else:
-                        mx = (rect[0] + rect[2]) / 2
-                        my = (rect[1] + rect[3]) / 2
-                        nxt.extend(
-                            [
-                                (rect[0], rect[1], mx, my),
-                                (mx, rect[1], rect[2], my),
-                                (rect[0], my, mx, rect[3]),
-                                (mx, my, rect[2], rect[3]),
-                            ]
-                        )
-                pieces = nxt
-                if not pieces:
-                    break
-            for rect in pieces:  # leftover splits at max depth
-                res = polygon_overlay(
-                    ga._parts_of(i), [[_rect_ring(rect)]], "intersection"
-                )
-                if res:
-                    done.append(res)
-            for seq, res in enumerate(done):
-                keep_rows.append(i)
-                out_geoms.append(parts_to_geom(res))
-                seqs.append(seq)
-        out = batch.take(pa.array(keep_rows, pa.int64()))
-        ga_out = GeometryArray.from_parts(out_geoms)
-        wkb = to_wkb_arrow(ga_out)
-        out = out.set_column(out.schema.get_field_index(_GEOM), _GEOM, wkb)
+    def subdivide_batch(batch: pa.Table) -> pa.Table:
+        out, seq = subdivide_rows(batch, max_coords)
         out = out.append_column("orig_doc_id", out.column("doc_id"))
-        return out.append_column("part_seq", pa.array(seqs, pa.int64()))
+        return out.append_column("part_seq", pa.array(seq, pa.int64()))
 
-    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
+    return ds.map_batches(subdivide_batch, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def _rect_ring(rect) -> np.ndarray:

@@ -105,10 +105,9 @@ def _self_round(
         _pairwise_overlay_geoms,
     )
     from .spatial_join import (
+        _broadcast_side,
         _owner_cell,
-        _prefixed_projection,
         _prefixed_schema,
-        _probe_collect,
         broadcast_cogroup,
         delete_duplicate_geometries,
     )
@@ -216,13 +215,7 @@ def _self_round(
 
     f1g = _prefixed_schema(ds.schema().base_schema, "l1_", ["doc_id", _GEOM])
     f2g = _prefixed_schema(ds.schema().base_schema, "l2_", ["doc_id", _GEOM])
-    g2t = (
-        _probe_collect(
-            _prefixed_projection(ds, f2g), f2g, OPTIONS.broadcast_bytes
-        )
-        if OPTIONS.broadcast_bytes
-        else None
-    )
+    g2t = _broadcast_side(ds, f2g)
     if g2t is not None:
         tagged = broadcast_cogroup(
             ds, g2t, group_fn, f1g, f2g,

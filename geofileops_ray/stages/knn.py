@@ -37,7 +37,7 @@ from ..geom.predicates import pair_distance
 from ..tiling.cells import CELL_OFFSET, CELL_SHIFT, assign_cells, cell_of_point
 from .geometry_batch import decode_geometry
 from .relation import detect_rects
-from .spatial_join import _attr_cols, _prefixed_schema
+from .spatial_join import _attr_cols, _prefixed_schema, _probe_collect
 
 _GEOM = "geometry"
 
@@ -185,21 +185,34 @@ def _dist_cols(ga1, rows1, ga2, rows2, dists, crs_epsg, user_snap=None):
     return cols
 
 
-def _probe_collect_plain(
-    ds: ray.data.Dataset, fields: list[pa.Field], cap_bytes: int
-) -> pa.Table | None:
-    """Byte-capped streaming collect of the projected columns (the
-    sjoin probe, un-prefixed): full table if it fits under
-    ``cap_bytes``, else None after at most ~cap_bytes + one block."""
-    from .spatial_join import _probe_collect
+def _nonempty_mask(col) -> pa.Array:
+    """Per row: True unless the WKB is NULL or EMPTY, without a decode.
+    A NULL or EMPTY geometry's WKB is ≤ 13 bytes (header + zero count),
+    except POINT EMPTY: a 21-byte point whose x is NaN. The smallest real
+    geometry is a 21-byte point, so a length scan suffices, plus for the
+    21-byte rows the x at byte offset 5, read in the byte order that
+    byte 0 names."""
+    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    lens = pc.fill_null(pc.binary_length(col), 0).to_numpy(zero_copy_only=False)
+    keep = lens >= 21
+    pts = np.flatnonzero(lens == 21)
+    if len(pts):
+        wide = pa.types.is_large_binary(col.type)
+        offs = np.frombuffer(
+            col.buffers()[1], dtype=np.int64 if wide else np.int32
+        )[col.offset:]
+        data = np.frombuffer(col.buffers()[2], dtype=np.uint8)
+        start = offs[pts].astype(np.int64)
+        raw = data[start[:, None] + np.arange(5, 13)]
+        big_endian = data[start] == 0
+        raw[big_endian] = raw[big_endian, ::-1]
+        keep[pts] = ~np.isnan(np.ascontiguousarray(raw).view("<f8")[:, 0])
+    return pa.array(keep)
 
-    names = [f.name for f in fields]
-    m2 = ds.map_batches(
-        lambda b: b.select(names),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    return _probe_collect(m2, fields, cap_bytes)
+
+def _drop_empty_rows(t: pa.Table) -> pa.Table:
+    keep = _nonempty_mask(t.column(_GEOM))
+    return t if pc.all(keep).as_py() else t.filter(keep)
 
 
 def _broadcast_knn(
@@ -278,25 +291,14 @@ def join_nearest(
     # NULL/EMPTY-geometry rows take part in no nearest relation (the
     # reference's expected count is nb_nearest × (rows with non-empty
     # geometry), test_geofileops_twolayers.py:1465-1524 — the parcel
-    # fixture carries one EMPTY multipolygon)
+    # fixture carries one EMPTY multipolygon). Schemas are read from the
+    # inputs, before the filter stage, so a materialized input is not
+    # probed.
     def _drop_null_geom(ds):
-        def fn(b: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
+        return ds.map_batches(
+            _drop_empty_rows, batch_format="pyarrow", zero_copy_batch=True
+        )
 
-            col = b.column(_GEOM)
-            # no decode: a NULL or EMPTY geometry's WKB is ≤ 13 bytes
-            # (header + zero count); the smallest real geometry (a
-            # point) is 21 — one vectorized length scan suffices
-            lens = pc.fill_null(pc.binary_length(col), 0)
-            keep = pc.greater_equal(lens, 21)
-            if pc.all(keep).as_py():
-                return b
-            return b.filter(keep)
-
-        return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
-
-    ds1 = _drop_null_geom(ds1)
-    ds2 = _drop_null_geom(ds2)
     from ..geom.crs import user_crs_snapshot
 
     # driver-side snapshot: register_crs state must travel into the
@@ -306,9 +308,11 @@ def join_nearest(
     cols2 = list(cols2 or _attr_cols(ds2))
     ordered1 = list(dict.fromkeys(["doc_id", *cols1, _GEOM]))
     ordered2 = list(dict.fromkeys(["doc_id", *cols2, _GEOM]))
+    sch2 = ds2.schema().base_schema
     f1 = _prefixed_schema(ds1.schema().base_schema, "l1_", ordered1)
-    f2 = _prefixed_schema(ds2.schema().base_schema, "l2_", ordered2)
+    f2 = _prefixed_schema(sch2, "l2_", ordered2)
     all_fields = f1 + f2
+    ds1 = _drop_null_geom(ds1)
 
     # broadcast fast path: a small layer2 is shipped ONCE via ray.put
     # and every batch runs exact kNN against it — no rounds, no shuffle
@@ -323,13 +327,14 @@ def join_nearest(
         if broadcast_threshold is None
         else broadcast_threshold
     )
-    plain2 = [ds2.schema().base_schema.field(c) for c in ordered2]
-    tbl2 = _probe_collect_plain(ds2, plain2, cap)
+    plain2 = [sch2.field(c) for c in ordered2]
+    tbl2 = _probe_collect(ds2, plain2, cap, prefix="")
     if tbl2 is not None:
         return _broadcast_knn(
-            ds1, tbl2, nb_nearest, radius, expand, ordered1, ordered2, f2,
-            crs_epsg,
+            ds1, _drop_empty_rows(tbl2), nb_nearest, radius, expand,
+            ordered1, ordered2, f2, crs_epsg,
         )
+    ds2 = _drop_null_geom(ds2)
 
     def project(ds, side, expand_dist):
         prefix = f"l{side + 1}_"

@@ -41,13 +41,14 @@ from ..geom.overlay import (
     union_all_parts,
 )
 from ..geom.predicates import points_in_polygon
+from .catalog import subdivide_rows
 from .spatial_join import (
     _attr_cols,
+    _broadcast_side,
+    _cogroup_fields,
     _owner_cell,
     _pair_table,
     _prefixed_schema,
-    _probe_collect,
-    _prefixed_projection,
     _ref_cell,
     broadcast_cogroup,
     cell_cogroup,
@@ -352,6 +353,46 @@ _SUBDIVIDE_INTERSECTION = 15_000
 _SUBDIVIDE_DIFFERENCE = 2_000
 
 
+def _reunion_pairs(t: pa.Table) -> pa.Table:
+    """Re-union the per-piece intersections of each (l1_doc_id,
+    l2_doc_id) pair into one row (reference ST_Union GROUP BY fids,
+    _geoops_sql.py:2027-2070). Singleton pairs (the vast majority) pass
+    through with ONE vectorized filter; only multi-piece pairs are
+    decoded and run the union sweep."""
+    srt = t.take(
+        pc.sort_indices(
+            t,
+            sort_keys=[("l1_doc_id", "ascending"), ("l2_doc_id", "ascending")],
+        )
+    )
+    k1 = srt.column("l1_doc_id").to_numpy()
+    k2 = srt.column("l2_doc_id").to_numpy()
+    n = len(k1)
+    if n == 0:
+        return srt
+    new1 = np.concatenate([[True], (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])])
+    starts = np.flatnonzero(new1)
+    L = np.diff(np.concatenate([starts, [n]]))
+    single = np.repeat(L == 1, L)
+    outs = [srt.filter(pa.array(single))]
+    multi = starts[L > 1]
+    if len(multi):
+        # filter just the geometry column (the attrs aren't needed)
+        ga = from_wkb(srt.column(_GEOM).filter(pa.array(~single)))
+        Lm = L[L > 1]
+        sub_starts = np.concatenate([[0], np.cumsum(Lm[:-1])])
+        geoms = []
+        for st, ln in zip(sub_starts, Lm):
+            parts = union_all_parts(
+                [ga._parts_of(int(st + i)) for i in range(int(ln))]
+            )
+            geoms.append(parts_to_geom(parts))
+        g = GeometryArray.from_parts(geoms)
+        base = srt.take(pa.array(multi, pa.int64())).drop_columns([_GEOM])
+        outs.append(base.append_column(_GEOM, to_wkb_arrow(g)))
+    return pa.concat_tables(outs)
+
+
 def intersection(
     ds1: ray.data.Dataset,
     ds2: ray.data.Dataset,
@@ -367,19 +408,18 @@ def intersection(
 ) -> ray.data.Dataset:
     """Pairwise spatial intersection (inner overlay join).
 
-    Complex inputs (> subdivide_coords coords) are auto-subdivided before
-    the cell shuffle and the per-pair pieces re-unioned per (l1, l2) id
-    pair afterwards — the reference's probe-and-reunion pass
-    (_geoops_sql.py:1893-1929, :2027-2070)."""
+    Complex inputs (> subdivide_coords coords) are subdivided and the
+    per-pair pieces re-unioned per (l1, l2) id pair — the reference's
+    probe-and-reunion pass (_geoops_sql.py:1893-1929, :2027-2070). The
+    broadcast-or-partition choice comes first and shapes the rest:
+    broadcast splits the collected layer2 on the driver and each layer1
+    batch's over-limit rows inside its own task, re-unioning there too,
+    so no probe runs; the cell shuffle probes both layers, subdivides
+    them as stages and re-unions with a shuffle."""
     size = size or OPTIONS.cell_size
     cols1 = list(cols1 or _attr_cols(ds1))
     cols2 = list(cols2 or _attr_cols(ds2))
     sub_limit = subdivide_coords or _SUBDIVIDE_INTERSECTION
-    sub1 = _subdivided_or_none(ds1, sub_limit)
-    sub2 = _subdivided_or_none(ds2, sub_limit)
-    subdivided = sub1 is not None or sub2 is not None
-    ds1 = sub1 if sub1 is not None else ds1
-    ds2 = sub2 if sub2 is not None else ds2
 
     def group_fn(g1, ga1, g2, ga2, cell):
         ia, ib = bbox_join_auto(ga1.bounds(), ga2)
@@ -396,67 +436,47 @@ def intersection(
             _GEOM, pa.array([w for w in wkb if w is not None], pa.binary())
         )
 
-    out = cell_cogroup(ds1, ds2, group_fn, cols1, cols2, size=size, salt=salt)
-    if subdivided:
-        # re-union the per-piece intersections of each original id pair
-        # (reference ST_Union GROUP BY fids, _geoops_sql.py:2027-2070)
-        def reunion_part(group: pa.Table) -> pa.Table:
-            # one call per salt partition: singleton pairs (the vast
-            # majority) pass through with ONE vectorized filter; only
-            # multi-piece pairs run the union sweep
-            group = group.drop_columns(["__part"])
-            srt = group.take(
-                pc.sort_indices(
-                    group,
-                    sort_keys=[
-                        ("l1_doc_id", "ascending"), ("l2_doc_id", "ascending")
-                    ],
-                )
-            )
-            k1 = srt.column("l1_doc_id").to_numpy()
-            k2 = srt.column("l2_doc_id").to_numpy()
-            n = len(k1)
-            if n == 0:
-                return srt
-            new1 = np.concatenate(
-                [[True], (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])]
-            )
-            starts = np.flatnonzero(new1)
-            L = np.diff(np.concatenate([starts, [n]]))
-            single = np.repeat(L == 1, L)
-            outs = [srt.filter(pa.array(single))]
-            multi = starts[L > 1]
-            if len(multi):
-                # decode ONLY the rows of multi-piece runs — singletons
-                # (the vast majority) never pay the WKB decode; filter
-                # just the geometry column (the attrs aren't needed)
-                ga = from_wkb(srt.column(_GEOM).filter(pa.array(~single)))
-                Lm = L[L > 1]
-                sub_starts = np.concatenate([[0], np.cumsum(Lm[:-1])])
-                geoms = []
-                for st, ln in zip(sub_starts, Lm):
-                    parts = union_all_parts(
-                        [ga._parts_of(int(st + i)) for i in range(int(ln))]
-                    )
-                    geoms.append(parts_to_geom(parts))
-                g = GeometryArray.from_parts(geoms)
-                base = srt.take(pa.array(multi, pa.int64())).drop_columns(
-                    [_GEOM]
-                )
-                outs.append(base.append_column(_GEOM, to_wkb_arrow(g)))
-            return pa.concat_tables(outs)
+    f1, f2 = _cogroup_fields(ds1, ds2, cols1, cols2)
+    g2 = _broadcast_side(ds2, f2)
+    if g2 is not None:
+        g2_split = subdivide_rows(g2, sub_limit, "l2_" + _GEOM)[0]
+        split2 = g2_split is not g2
 
-        from .agg import _salt_parts, default_nparts
+        def broadcast_fn(g1, ga1, g2, ga2, cell):
+            g1_split = subdivide_rows(g1, sub_limit, "l1_" + _GEOM)[0]
+            if g1_split is g1 and not split2:
+                return group_fn(g1, ga1, g2, ga2, cell)
+            if g1_split is not g1:
+                ga1 = from_wkb(g1_split.column("l1_" + _GEOM))
+            return _reunion_pairs(group_fn(g1_split, ga1, g2, ga2, cell))
 
-        nparts = default_nparts()  # fixed at the driver
-        out = (
-            out.map_batches(
-                lambda b: _salt_parts(b, ["l1_doc_id", "l2_doc_id"], nparts),
-                batch_format="pyarrow",
-            )
-            .groupby("__part")
-            .map_groups(reunion_part, batch_format="pyarrow")
+        out = broadcast_cogroup(
+            ds1, g2_split, broadcast_fn, f1, f2,
+            rows_per_task=OPTIONS.broadcast_rows_per_task or None,
         )
+    else:
+        sub1 = _subdivided_or_none(ds1, sub_limit)
+        sub2 = _subdivided_or_none(ds2, sub_limit)
+        out = cell_cogroup(
+            sub1 if sub1 is not None else ds1,
+            sub2 if sub2 is not None else ds2,
+            group_fn, cols1, cols2, size=size, salt=salt, broadcast=False,
+        )
+        if sub1 is not None or sub2 is not None:
+            from .agg import _salt_parts, default_nparts
+
+            def reunion_part(group: pa.Table) -> pa.Table:
+                return _reunion_pairs(group.drop_columns(["__part"]))
+
+            nparts = default_nparts()  # fixed at the driver
+            out = (
+                out.map_batches(
+                    lambda b: _salt_parts(b, ["l1_doc_id", "l2_doc_id"], nparts),
+                    batch_format="pyarrow",
+                )
+                .groupby("__part")
+                .map_groups(reunion_part, batch_format="pyarrow")
+            )
     if sliver_tolerance:
         out = _filter_slivers(out, sliver_tolerance)
     return _apply_geom_post(
@@ -959,10 +979,8 @@ def _per_row_overlay(
     # the op runs against the UNION of candidates, so subdividing layer2
     # pieces (same doc_id per piece) never changes the result — only the
     # per-pair sweep sizes (reference subdivides input2 for difference,
-    # _geoops_sql.py:1893-1929; probe is one cheap byte-length scan)
-    sub2 = _subdivided_or_none(ds2, subdivide_coords or _SUBDIVIDE_DIFFERENCE)
-    if sub2 is not None:
-        ds2 = sub2
+    # _geoops_sql.py:1893-1929)
+    sub_limit = subdivide_coords or _SUBDIVIDE_DIFFERENCE
 
     def group_fn(g1, ga1, g2, ga2, cell):
         b1 = ga1.bounds()
@@ -999,18 +1017,14 @@ def _per_row_overlay(
     f2g = _prefixed_schema(
         ds2.schema().base_schema, "l2_", ["doc_id", _GEOM]
     )
-    g2t = (
-        _probe_collect(
-            _prefixed_projection(ds2, f2g), f2g, OPTIONS.broadcast_bytes
-        )
-        if OPTIONS.broadcast_bytes
-        else None
-    )
+    g2t = _broadcast_side(ds2, f2g)
     if g2t is not None:
         # broadcast: every row resolves locally (zero pending rows) — no
-        # materialization / filter / gather stages at all
+        # materialization / filter / gather stages at all; complex
+        # layer2 rows are split on the driver
         out = broadcast_cogroup(
-            ds1, g2t, group_fn, f1g, f2g, rows_per_task=OPTIONS.broadcast_rows_per_task or None
+            ds1, subdivide_rows(g2t, sub_limit, "l2_" + _GEOM)[0], group_fn,
+            f1g, f2g, rows_per_task=OPTIONS.broadcast_rows_per_task or None,
         ).map_batches(strip, batch_format="pyarrow")
         if sliver_tolerance:
             out = _filter_slivers(out, sliver_tolerance)
@@ -1020,7 +1034,7 @@ def _per_row_overlay(
     # cogroup; size ≈ output rows + straddler pairs (spillable blocks)
     paired = cell_cogroup(
         ds1, ds2, group_fn, cols1, ["doc_id"], size=size, salt=salt,
-        broadcast=False,
+        broadcast=False, subdivide2=sub_limit,
     ).materialize()
 
     done_ds = paired.filter(expr="__done == True").map_batches(
@@ -1203,13 +1217,7 @@ def _fused_overlay(
     c2g = [*c2, _GEOM] if _GEOM not in c2 else c2
     f1g = _prefixed_schema(ds1.schema().base_schema, "l1_", c1g)
     f2g = _prefixed_schema(ds2.schema().base_schema, "l2_", c2g)
-    g2t = (
-        _probe_collect(
-            _prefixed_projection(ds2, f2g), f2g, OPTIONS.broadcast_bytes
-        )
-        if OPTIONS.broadcast_bytes
-        else None
-    )
+    g2t = _broadcast_side(ds2, f2g)
     if g2t is not None:
         # broadcast: one no-shuffle pass computes intersection + d12
         # entirely locally (cell=None ⇒ no pending rows); d21 gets its

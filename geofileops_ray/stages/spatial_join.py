@@ -21,6 +21,7 @@ Ops here:
 
 from __future__ import annotations
 
+import contextlib
 from typing import Callable
 
 import numpy as np
@@ -32,6 +33,7 @@ import ray.data
 from ..config import OPTIONS
 from ..geom import GeometryArray, bbox_join, bbox_join_auto, from_wkb
 from ..tiling.cells import CELL_OFFSET, CELL_SHIFT, _SALT_SHIFT, compute_salt_map, replicate_to_cells
+from ..util import iter_blocks
 from .geometry_batch import decode_geometry
 from .relation import RelationQuery, evaluate_pairs, pair_distances
 
@@ -108,34 +110,76 @@ def _bcast_side(ref) -> tuple[pa.Table, GeometryArray]:
     return hit
 
 
-def _prefixed_projection(ds: ray.data.Dataset, fields: list[pa.Field]) -> ray.data.Dataset:
-    def proj(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {f.name: batch.column(f.name[3:]).combine_chunks() for f in fields}
-        )
-
-    return ds.map_batches(proj, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def _probe_collect(
-    m2: ray.data.Dataset, fields: list[pa.Field], cap_bytes: int | None
+    ds2: ray.data.Dataset,
+    fields: list[pa.Field],
+    cap_bytes: int | None,
+    prefix: str = "l2_",
 ) -> pa.Table | None:
-    """Stream the prefixed projection of layer2 to the driver, aborting
-    as soon as the cumulative size crosses ``cap_bytes`` (None = no cap).
-    Returns the full Arrow table if it fit, else None. The abort bounds
-    the probe cost to ~cap_bytes + one block — a 50 TB layer2 costs one
-    partial scan to rule out, never a full materialization."""
-    names = [f.name for f in fields]
+    """Collect layer2's projection to ``fields`` on the driver (field
+    ``prefix + c`` is column ``c``), aborting as soon as the projected
+    size crosses ``cap_bytes`` (None = no cap). Returns the Arrow table
+    if it fit, else None.
+
+    The driver reads WHOLE blocks of layer2 and picks the columns
+    zero-copy, so a materialized layer2 is collected without launching
+    any Ray execution; a lazy one streams through one. Only projected
+    bytes count against the cap, but a block's other columns still pass
+    through driver memory, one block at a time. The abort bounds the
+    cost to ~cap_bytes + one block: a 50 TB layer2 costs one partial
+    scan to rule out, never a full materialization."""
     parts: list[pa.Table] = []
     total = 0
-    for b in m2.iter_batches(batch_format="pyarrow", batch_size=None):
-        parts.append(b)
-        total += b.nbytes
-        if cap_bytes is not None and total > cap_bytes:
-            return None
+    with contextlib.closing(iter_blocks(ds2)) as blocks:
+        for block in blocks:
+            if not block.num_rows:
+                continue
+            t = pa.table(
+                {f.name: block.column(f.name[len(prefix):]) for f in fields}
+            )
+            parts.append(t)
+            total += t.nbytes
+            if cap_bytes is not None and total > cap_bytes:
+                return None
     if not parts:
         return pa.table({f.name: pa.array([], f.type) for f in fields})
-    return pa.concat_tables(parts).combine_chunks().select(names)
+    return pa.concat_tables(parts).combine_chunks()
+
+
+def _cogroup_fields(
+    ds1: ray.data.Dataset,
+    ds2: ray.data.Dataset,
+    cols1: list[str],
+    cols2: list[str],
+) -> tuple[list[pa.Field], list[pa.Field]]:
+    """The l1_/l2_-prefixed carried columns of both sides: ``doc_id``,
+    the requested columns and the geometry."""
+    if "doc_id" not in cols1:
+        cols1 = ["doc_id", *cols1]
+    if "doc_id" not in cols2:
+        cols2 = ["doc_id", *cols2]
+    if _GEOM not in cols1:
+        cols1 = [*cols1, _GEOM]
+    if _GEOM not in cols2:
+        cols2 = [*cols2, _GEOM]
+    sch1, sch2 = ds1.schema().base_schema, ds2.schema().base_schema
+    return _prefixed_schema(sch1, "l1_", cols1), _prefixed_schema(sch2, "l2_", cols2)
+
+
+def _broadcast_side(
+    ds2: ray.data.Dataset, f2: list[pa.Field], broadcast: bool | None = None
+) -> pa.Table | None:
+    """The broadcast-or-partition choice, made before anything else is
+    planned: layer2 collected (``f2`` columns) when it takes the
+    no-shuffle broadcast path, None for the cell shuffle. ``broadcast``:
+    None picks broadcast when the projected layer2 is at most
+    ``OPTIONS.broadcast_bytes``; True forces it; False forces the
+    shuffle. ``broadcast_bytes = 0`` disables broadcast altogether."""
+    if broadcast is False or not OPTIONS.broadcast_bytes:
+        return None
+    return _probe_collect(
+        ds2, f2, None if broadcast else OPTIONS.broadcast_bytes
+    )
 
 
 def broadcast_cogroup(
@@ -205,6 +249,7 @@ def cell_cogroup(
     expand1: float = 0.0,
     salt: bool = False,
     broadcast: bool | None = None,
+    subdivide2: int = 0,
 ) -> ray.data.Dataset:
     """The co-group harness. ``group_fn(t1, ga1, t2, ga2, cell)`` is
     called per cell with the two decoded sides (columns already
@@ -220,34 +265,31 @@ def cell_cogroup(
     ``OPTIONS.broadcast_bytes``; True forces it; False forces the cell
     shuffle. group_fn is then called with ``cell=None`` — no ownership
     filtering (every layer1 row seen exactly once, all of layer2
-    visible)."""
+    visible).
+
+    ``subdivide2`` > 0 splits layer2 geometries over that many
+    coordinates into grid pieces keeping their doc_id: the collected
+    table on the driver on the broadcast path, a probed subdivide stage
+    on the cell path. Only for ops whose answer per layer1 row does not
+    depend on how layer2 is cut."""
     size = size or OPTIONS.cell_size
-    if "doc_id" not in cols1:
-        cols1 = ["doc_id", *cols1]
-    if "doc_id" not in cols2:
-        cols2 = ["doc_id", *cols2]
-    if _GEOM not in cols1:
-        cols1 = [*cols1, _GEOM]
-    if _GEOM not in cols2:
-        cols2 = [*cols2, _GEOM]
-    sch1, sch2 = ds1.schema().base_schema, ds2.schema().base_schema
-    f1 = _prefixed_schema(sch1, "l1_", cols1)
-    f2 = _prefixed_schema(sch2, "l2_", cols2)
+    f1, f2 = _cogroup_fields(ds1, ds2, cols1, cols2)
     all_fields = f1 + f2
-    if broadcast is not False and OPTIONS.broadcast_bytes:
-        # probe the PROJECTED side (the raw layer may carry wide payload
-        # columns that never ride the join); the probe streams at most
-        # ~broadcast_bytes to the driver and aborts early on big layers,
-        # so ruling out a huge layer2 costs one bounded partial scan
-        g2 = _probe_collect(
-            _prefixed_projection(ds2, f2), f2,
-            None if broadcast else OPTIONS.broadcast_bytes,
+    g2 = _broadcast_side(ds2, f2, broadcast)
+    if g2 is not None:
+        if subdivide2:
+            from .catalog import subdivide_rows
+
+            g2 = subdivide_rows(g2, subdivide2, "l2_" + _GEOM)[0]
+        return broadcast_cogroup(
+            ds1, g2, group_fn, f1, f2,
+            rows_per_task=OPTIONS.broadcast_rows_per_task or None,
         )
-        if g2 is not None:
-            return broadcast_cogroup(
-                ds1, g2, group_fn, f1, f2,
-                rows_per_task=OPTIONS.broadcast_rows_per_task or None,
-            )
+    if subdivide2:
+        from .overlay_ops import _subdivided_or_none
+
+        sub2 = _subdivided_or_none(ds2, subdivide2)
+        ds2 = sub2 if sub2 is not None else ds2
     salt_map = (
         compute_salt_map(ds1, size, expand=expand1) if salt else None
     )
@@ -559,6 +601,7 @@ def _matched_pairs_stream(
     distance: float | None = None,
     with_area: bool = False,
     emit_candidates: bool = False,
+    subdivide2: int = 0,
 ) -> ray.data.Dataset:
     """Per-cell stream of OWNED candidate pairs for layer1:
     (l1_doc_id, matched, area). No per-doc aggregate — consumers dedup /
@@ -596,7 +639,7 @@ def _matched_pairs_stream(
 
     return cell_cogroup(
         ds1, ds2, group_fn, ["doc_id"], ["doc_id"], size=size,
-        expand1=expand1, salt=salt,
+        expand1=expand1, salt=salt, subdivide2=subdivide2,
     )
 
 
@@ -706,19 +749,18 @@ def export_by_location(
     include_disjoint = q.mentions_disjoint_true
     with_area = bool(area_inters_column_name or min_area_intersect)
     broadcast_limit = broadcast_limit or OPTIONS.broadcast_id_limit
+    subdivide2 = 0
     if query.strip().lower() == "intersects is true" and not with_area:
         # EXISTS(any piece intersects) ⟺ EXISTS(whole intersects): safe to
-        # subdivide complex layer2 geometries before the shuffle
-        # (reference complexpoly path, _geoops_sql.py:1893-1929; probe =
-        # one byte-length scan, no-op on simple layers)
-        from .overlay_ops import _SUBDIVIDE_DIFFERENCE, _subdivided_or_none
+        # subdivide complex layer2 geometries (reference complexpoly
+        # path, _geoops_sql.py:1893-1929)
+        from .overlay_ops import _SUBDIVIDE_DIFFERENCE
 
-        sub2 = _subdivided_or_none(ds2, _SUBDIVIDE_DIFFERENCE)
-        if sub2 is not None:
-            ds2 = sub2
+        subdivide2 = _SUBDIVIDE_DIFFERENCE
     pairs = _matched_pairs_stream(
         ds1, ds2, q, size, salt,
         with_area=with_area, emit_candidates=include_disjoint,
+        subdivide2=subdivide2,
     )
     from .agg import bucket_aggregate
 

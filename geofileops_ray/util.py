@@ -1,6 +1,8 @@
-"""Small driver-side helpers (test / bench convenience — not hot path)."""
+"""Small driver-side helpers."""
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import pyarrow as pa
 
@@ -19,6 +21,19 @@ def collect(ds: ray.data.Dataset) -> pa.Table:
         base = getattr(sch, "base_schema", None) if sch else None
         return base.empty_table() if base is not None else pa.table({})
     return pa.concat_tables([t if isinstance(t, pa.Table) else pa.Table.from_batches([t]) for t in tables])
+
+
+def iter_blocks(ds: ray.data.Dataset) -> Iterator[pa.Table]:
+    """The Dataset's blocks as Arrow tables, read whole on the driver. A
+    materialized Dataset yields its stored blocks without launching a Ray
+    execution; a lazy one streams through one execution. Close the
+    iterator (``contextlib.closing``) when stopping early."""
+    import ray as _ray
+    from ray.data.block import BlockAccessor
+
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, _meta in bundle.blocks:
+            yield BlockAccessor.for_block(_ray.get(ref)).to_arrow()
 
 
 def md5_u64(s: str) -> int:

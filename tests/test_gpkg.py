@@ -436,3 +436,96 @@ def test_rtree_insert_after_bulk_load(ray_session, tmp_path):
         ).fetchall() == [(999999,)]
     finally:
         con.close()
+
+
+def test_gpkg_empty_flag_per_row(ray_session, tmp_path):
+    """EMPTY rows get header flags 0x11 (bit 4 set), every other row
+    0x01; the round trip gives back every WKB byte for byte."""
+    wkts = ["POINT (1 2)", "POINT EMPTY", None, "POLYGON EMPTY",
+            "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))", "LINESTRING (0 0, 1 1)"]
+    wkb = [None if w is None else to_wkb(from_wkt([w]))[0] for w in wkts]
+    t = pa.table({"geometry": pa.array(wkb, pa.binary())})
+    p = str(tmp_path / "empties.gpkg")
+    write_gpkg(ray.data.from_arrow(t), p)
+    con = sqlite3.connect(p)
+    try:
+        blobs = [r[0] for r in con.execute(
+            'SELECT geometry FROM "empties" ORDER BY fid'
+        )]
+    finally:
+        con.close()
+    flags = [None if b is None else b[3] for b in blobs]
+    assert flags == [0x01, 0x11, None, 0x11, 0x01, 0x01]
+    back = collect(read_gpkg(p)).column("geometry").to_pylist()
+    assert back == wkb
+
+
+def _st_functions(con):
+    """The ST_* functions the r-tree triggers call, as a GeoPackage
+    client provides them: the empty flag from the blob header, the
+    bounds from the WKB."""
+
+    def bounds(blob):
+        return from_wkb([gpkg_unwrap(blob)]).bounds()[0]
+
+    con.create_function("ST_IsEmpty", 1, lambda b: int(bool(b[3] & 0x10)))
+    con.create_function("ST_MinX", 1, lambda b: float(bounds(b)[0]))
+    con.create_function("ST_MinY", 1, lambda b: float(bounds(b)[1]))
+    con.create_function("ST_MaxX", 1, lambda b: float(bounds(b)[2]))
+    con.create_function("ST_MaxY", 1, lambda b: float(bounds(b)[3]))
+
+
+def test_rtree_extension_and_triggers(ray_session, tmp_path):
+    """The r-tree is declared in gpkg_extensions with the extension's
+    seven triggers; INSERT, UPDATE (geometry, to EMPTY, fid) and DELETE
+    through plain SQLite keep rtreecheck() ok and each edit visible to a
+    bbox read."""
+    p, rt = _write_boxes(tmp_path, _random_boxes(M * M + 1, seed=7))
+    con = sqlite3.connect(p)
+    _st_functions(con)
+    try:
+        assert con.execute(
+            "SELECT table_name, column_name, extension_name, scope"
+            " FROM gpkg_extensions"
+        ).fetchall() == [("boxes", "geometry", "gpkg_rtree_index", "write-only")]
+        triggers = sorted(r[0] for r in con.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'trigger'"
+        ))
+        assert triggers == sorted(
+            f"{rt}_{k}" for k in ("insert", "update2", "update4", "update5",
+                                  "update6", "update7", "delete")
+        )
+
+        def blob(wkt):
+            return gpkg_wrap(to_wkb(from_wkt([wkt]))[0])
+
+        empty = blob("POLYGON EMPTY")
+        empty = empty[:3] + bytes([empty[3] | 0x10]) + empty[4:]
+        con.execute(
+            'INSERT INTO "boxes" (fid, geometry) VALUES (?, ?)',
+            (100000, blob("POLYGON ((5000 5000, 5001 5000, 5001 5001, 5000 5001, 5000 5000))")),
+        )
+        con.execute(
+            'UPDATE "boxes" SET geometry = ? WHERE fid = 1',
+            (blob("POLYGON ((6000 6000, 6001 6000, 6001 6001, 6000 6001, 6000 6000))"),),
+        )
+        con.execute('UPDATE "boxes" SET geometry = ? WHERE fid = 2', (empty,))
+        con.execute('UPDATE "boxes" SET fid = 200000 WHERE fid = 3')
+        con.execute('DELETE FROM "boxes" WHERE fid = 4')
+        con.commit()
+        assert con.execute(f"SELECT rtreecheck('{rt}')").fetchone() == ("ok",)
+        ids = {r[0] for r in con.execute(f'SELECT id FROM "{rt}"')}
+    finally:
+        con.close()
+    assert {100000, 1, 200000} <= ids and not {2, 3, 4} & ids
+    assert len(ids) == M * M + 1 + 1 - 2  # one INSERT, one EMPTY, one DELETE
+
+    def fids_in(box):
+        return sorted(collect(read_gpkg(p, bbox=box)).column("fid").to_pylist())
+
+    assert fids_in((4999.0, 4999.0, 5002.0, 5002.0)) == [100000]
+    assert fids_in((5999.0, 5999.0, 6002.0, 6002.0)) == [1]
+    b3 = _random_boxes(M * M + 1, seed=7)[2]
+    assert 200000 in fids_in(tuple(b3))
+    all_fids = fids_in((-1e9, -1e9, 1e9, 1e9))
+    assert 4 not in all_fids and 2 not in all_fids and 3 not in all_fids

@@ -4,6 +4,7 @@ _geoops_sql.py:1893-1929) + the sliver filter (_get_sliver_where)."""
 import numpy as np
 import pyarrow as pa
 import pytest
+from conftest import SF_DIR
 
 
 def _circle_poly(cx, cy, r, n):
@@ -89,3 +90,76 @@ def test_sliver_filter(ray_session):
     assert keep.tolist() == [True, False]
     only_slivers = _sliver_keep_mask(ga, -0.001)
     assert only_slivers.tolist() == [False, True]
+
+
+@pytest.fixture(params=["broadcast", "cell"])
+def overlay_path(request, monkeypatch):
+    """The broadcast path subdivides the collected layer2 on the driver
+    and layer1 rows inside each task; the cell path (broadcast_bytes=0)
+    probes both layers and subdivides them as stages."""
+    if request.param == "cell":
+        from geofileops_ray.config import OPTIONS
+
+        monkeypatch.setattr(OPTIONS, "broadcast_bytes", 0)
+    return request.param
+
+
+def _pair_areas(ds):
+    from geofileops_ray.geom import from_wkb
+    from geofileops_ray.geom.measure import area
+
+    rows = ds.take_all()
+    ga = from_wkb([r["geometry"] for r in rows])
+    out = {}
+    for r, a in zip(rows, area(ga)):
+        key = (r["l1_doc_id"], r.get("l2_doc_id"))
+        assert key not in out, f"pair {key} emitted twice"
+        out[key] = float(a)
+    return out
+
+
+def _assert_same_areas(got, want):
+    assert sorted(got) == sorted(want)
+    for k, a in want.items():
+        assert abs(got[k] - a) <= 1e-6 * max(abs(a), 1.0), (k, got[k], a)
+
+
+def test_intersection_subdivided_matches_unsubdivided(
+    ray_session, complex_layer, overlay_path
+):
+    """Both layers over a lowered subdivide limit: the pieces are
+    re-unioned per (l1, l2) pair, so the pairs and their areas equal the
+    unsubdivided answer."""
+    from geofileops_ray.io.synth import parcels_dataset
+    from geofileops_ray.stages.overlay_ops import intersection
+
+    p = parcels_dataset(SF_DIR).materialize()
+    for a, b in ((p, complex_layer), (complex_layer, p)):
+        got = _pair_areas(intersection(a, b, cols1=[], cols2=[], subdivide_coords=2000))
+        want = _pair_areas(intersection(a, b, cols1=[], cols2=[], subdivide_coords=10**9))
+        assert len(want) > 0
+        _assert_same_areas(got, want)
+
+
+def test_difference_and_export_subdivided_on_both_paths(
+    ray_session, complex_layer, overlay_path, monkeypatch
+):
+    from geofileops_ray.io.synth import parcels_dataset
+    from geofileops_ray.stages import overlay_ops
+    from geofileops_ray.stages.overlay_ops import difference
+    from geofileops_ray.stages.spatial_join import export_by_location
+
+    p = parcels_dataset(SF_DIR).materialize()
+    got = _pair_areas(difference(p, complex_layer, cols1=[]))
+    want = _pair_areas(difference(p, complex_layer, cols1=[], subdivide_coords=10**9))
+    _assert_same_areas(got, want)
+
+    def kept():
+        return sorted(
+            r["l1_doc_id"]
+            for r in export_by_location(p, complex_layer, "intersects is True").take_all()
+        )
+
+    got_ids = kept()
+    monkeypatch.setattr(overlay_ops, "_SUBDIVIDE_DIFFERENCE", 10**9)
+    assert got_ids == kept() and len(got_ids) > 0

@@ -689,3 +689,48 @@ def test_fixed8_blob_codes_order_matches_object_ranks():
     d_data = np.frombuffer(dup.buffers()[2], np.uint8)
     d_codes = np.ascontiguousarray(d_data[: 8 * 3]).view(">u8").astype(np.uint64)
     assert d_codes[0] == d_codes[1] != d_codes[2]
+
+
+@pytest.mark.parametrize("cap", [None, 0])
+def test_join_nearest_ignores_point_empty(ray_session, cap):
+    """POINT EMPTY (a 21-byte WKB point whose x is NaN, in either byte
+    order) in either layer changes no join_nearest output row, on the
+    broadcast path (cap None) and the cell-ring path (cap 0)."""
+    import struct
+
+    import pyarrow as pa
+    import ray.data as _rd
+
+    from geofileops_ray.geom import GeometryArray, to_wkb
+
+    nan = float("nan")
+    empty_le = struct.pack("<BIdd", 1, 1, nan, nan)
+    empty_be = struct.pack(">BIdd", 0, 1, nan, nan)
+    pts = [(i, (1, [[np.array([[3.0 * i, 2.0 * (i % 4)]])]])) for i in range(12)]
+    rects = [(100 + i, _rect(5 * i, 10, 5 * i + 2, 12)) for i in range(6)]
+
+    def layer(rows, extra):
+        wkb = to_wkb(GeometryArray.from_parts([g for _i, g in rows]))
+        ids = [i for i, _g in rows] + [900 + k for k in range(len(extra))]
+        return _rd.from_arrow(
+            pa.table(
+                {
+                    "doc_id": pa.array(ids, pa.int64()),
+                    "geometry": pa.array(list(wkb) + extra, pa.binary()),
+                }
+            )
+        )
+
+    def run(l1, l2):
+        res = join_nearest(
+            l1, l2, nb_nearest=2, radius=5.0, size=10.0, cols1=[], cols2=[],
+            broadcast_threshold=cap,
+        ).take_all()
+        return sorted(
+            (r["l1_doc_id"], r["pos"], r["l2_doc_id"], r["distance"]) for r in res
+        )
+
+    want = run(layer(pts, []), layer(rects, []))
+    assert len(want) == 2 * len(pts)
+    assert run(layer(pts, [empty_le, empty_be]), layer(rects, [])) == want
+    assert run(layer(pts, []), layer(rects, [empty_le, empty_be])) == want
