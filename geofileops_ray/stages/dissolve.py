@@ -48,6 +48,7 @@ from ..geom.overlay import (
     union_all_parts,
 )
 from ..tiling.cells import CELL_OFFSET, CELL_SHIFT, cell_bounds
+from ..util import iter_blocks
 from .geometry_batch import decode_geometry
 
 _GEOM = "geometry"
@@ -607,13 +608,9 @@ def _refine_hot_pairs(
 def _first_geometry(ds: ray.data.Dataset) -> bytes | None:
     """WKB of the first row of a materialized Dataset, read from its
     first non-empty block on the driver (no Ray execution)."""
-    from ..util import iter_blocks
-
     with contextlib.closing(iter_blocks(ds)) as blocks:
-        for block in blocks:
-            if block.num_rows:
-                return block.column(_GEOM)[0].as_py()
-    return None
+        block = next(blocks, None)
+    return None if block is None else block.column(_GEOM)[0].as_py()
 
 
 def dissolve(

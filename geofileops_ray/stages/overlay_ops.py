@@ -41,7 +41,7 @@ from ..geom.overlay import (
     union_all_parts,
 )
 from ..geom.predicates import points_in_polygon
-from .catalog import subdivide_rows
+from .catalog import _max_coords_estimate, _subdivided_or_none, subdivide_rows
 from .spatial_join import (
     _attr_cols,
     _broadcast_side,
@@ -254,39 +254,6 @@ def _pairwise_overlay_geoms(
             for pos in np.flatnonzero(nonempty):
                 out[slow[pos]] = wkbs[pos]
     return out
-
-
-def _max_coords_estimate(ds: ray.data.Dataset) -> int:
-    """Cheap upper bound on the max per-geometry coordinate count of a
-    layer, from WKB byte lengths only (no decode): one column-pruned scan
-    + tiny aggregate — the subdivide probe (reference _subdivide_layer
-    scans the layer the same way, _geoops_sql.py:1358-1444)."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Max
-
-    def fn(b: pa.Table) -> pa.Table:
-        n = pc.max(pc.binary_length(b.column(_GEOM))).as_py() if len(b) else 0
-        return pa.table({"m": pa.array([int(n or 0)], pa.int64())})
-
-    r = ds.map_batches(fn, batch_format="pyarrow").aggregate(Max("m"))
-    return max(0, (int(r["max(m)"] or 0) - 9) // 16)
-
-
-def _subdivided_or_none(
-    ds: ray.data.Dataset, max_coords: int
-) -> ray.data.Dataset | None:
-    """Subdivide complex geometries into grid pieces retaining the
-    original doc_id (one row per piece), or None when the probe says no
-    geometry exceeds the budget (zero overhead then)."""
-    if max_coords <= 0 or _max_coords_estimate(ds) <= max_coords:
-        return None
-    from .catalog import subdivide
-
-    sub = subdivide(ds, max_coords)
-    return sub.map_batches(
-        lambda b: b.drop_columns(["orig_doc_id", "part_seq"]),
-        batch_format="pyarrow",
-    )
 
 
 def _sliver_keep_mask(ga: GeometryArray, tolerance: float) -> np.ndarray:

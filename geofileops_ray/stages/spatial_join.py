@@ -34,6 +34,7 @@ from ..config import OPTIONS
 from ..geom import GeometryArray, bbox_join, bbox_join_auto, from_wkb
 from ..tiling.cells import CELL_OFFSET, CELL_SHIFT, _SALT_SHIFT, compute_salt_map, replicate_to_cells
 from ..util import iter_blocks
+from .catalog import _subdivided_or_none, subdivide_rows
 from .geometry_batch import decode_geometry
 from .relation import RelationQuery, evaluate_pairs, pair_distances
 
@@ -132,8 +133,6 @@ def _probe_collect(
     total = 0
     with contextlib.closing(iter_blocks(ds2)) as blocks:
         for block in blocks:
-            if not block.num_rows:
-                continue
             t = pa.table(
                 {f.name: block.column(f.name[len(prefix):]) for f in fields}
             )
@@ -278,16 +277,12 @@ def cell_cogroup(
     g2 = _broadcast_side(ds2, f2, broadcast)
     if g2 is not None:
         if subdivide2:
-            from .catalog import subdivide_rows
-
             g2 = subdivide_rows(g2, subdivide2, "l2_" + _GEOM)[0]
         return broadcast_cogroup(
             ds1, g2, group_fn, f1, f2,
             rows_per_task=OPTIONS.broadcast_rows_per_task or None,
         )
     if subdivide2:
-        from .overlay_ops import _subdivided_or_none
-
         sub2 = _subdivided_or_none(ds2, subdivide2)
         ds2 = sub2 if sub2 is not None else ds2
     salt_map = (

@@ -24,16 +24,17 @@ def collect(ds: ray.data.Dataset) -> pa.Table:
 
 
 def iter_blocks(ds: ray.data.Dataset) -> Iterator[pa.Table]:
-    """The Dataset's blocks as Arrow tables, read whole on the driver. A
-    materialized Dataset yields its stored blocks without launching a Ray
-    execution; a lazy one streams through one execution. Close the
-    iterator (``contextlib.closing``) when stopping early."""
-    import ray as _ray
+    """The Dataset's non-empty blocks as Arrow tables, read whole on the
+    driver. A materialized Dataset yields its stored blocks without
+    launching a Ray execution; a lazy one streams through one execution.
+    Close the iterator (``contextlib.closing``) when stopping early."""
     from ray.data.block import BlockAccessor
 
     for bundle in ds.iter_internal_ref_bundles():
         for ref, _meta in bundle.blocks:
-            yield BlockAccessor.for_block(_ray.get(ref)).to_arrow()
+            block = BlockAccessor.for_block(ray.get(ref)).to_arrow()
+            if block.num_rows:
+                yield block
 
 
 def md5_u64(s: str) -> int:
