@@ -21,6 +21,7 @@ from ..config import OPTIONS
 from ..geom import GeometryArray, from_wkb, to_wkb, to_wkb_arrow
 from ..geom.array import POLYGON, TYPE_NAMES
 from ..geom.overlay import parts_to_geom, polygon_overlay
+from ..util import iter_blocks
 from .geometry_batch import add_bounds, decode_geometry
 
 _GEOM = "geometry"
@@ -244,6 +245,41 @@ def subdivide_rows(
     out = batch.take(pa.array(rows))
     out = out.set_column(out.schema.get_field_index(column), column, geom)
     return out, seq
+
+
+def subdivide_table(
+    t: pa.Table, max_coords: int, column: str = _GEOM
+) -> pa.Table:
+    """``t`` with each ``column`` geometry over ``max_coords``
+    coordinates split into grid pieces (``subdivide_rows``), rows kept
+    in order; ``t`` itself when a WKB byte-length scan finds no row that
+    can be over the limit, so a simple table launches nothing. Otherwise
+    only the candidate rows are split, by a Ray map over one block per
+    pool CPU, so a layer of complex geometries is split in parallel."""
+    import pyarrow.compute as pc
+
+    from .agg import pool_cpus
+
+    lens = pc.fill_null(pc.binary_length(t.column(column)), 0).to_numpy(
+        zero_copy_only=False
+    )
+    over = (lens - 9) // 16 > max_coords
+    if not over.any():
+        return t
+    rows = np.arange(len(t), dtype=np.int64)
+    cand = t.filter(pa.array(over)).append_column("__src", pa.array(rows[over]))
+    chunks = np.array_split(np.arange(len(cand)), min(len(cand), pool_cpus()))
+    split = ray.data.from_arrow(
+        [cand.slice(int(c[0]), len(c)) for c in chunks]
+    ).map_batches(
+        lambda b: subdivide_rows(b, max_coords, column)[0],
+        batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
+    )
+    rest = t.filter(pa.array(~over)).append_column("__src", pa.array(rows[~over]))
+    out = pa.concat_tables([rest, *iter_blocks(split)])
+    # a stable sort: each row's pieces stay together, in piece order
+    out = out.take(pc.sort_indices(out.column("__src")))
+    return out.drop_columns(["__src"]).combine_chunks()
 
 
 def _grid_pieces(parts: list, b: np.ndarray, max_coords: int) -> list:

@@ -36,6 +36,7 @@ import numpy as np
 import pyarrow as pa
 
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 from ..config import OPTIONS
 from ..geom import GeometryArray, from_wkb, to_wkb, to_wkb_arrow
@@ -633,15 +634,16 @@ def dissolve(
     agg_columns = list(agg_columns or [])
 
     source = ds
-    if cell_size is None:
+    if cell_size is None and not isinstance(ds, MaterializedDataset):
         # adaptive cell sizing (below) reads the layer more than once, so
-        # pin the narrow source projection — group keys, aggregate
-        # sources and geometry, doc_id only for json — and the upstream
-        # pipeline (e.g. a lazy sjoin) runs exactly once. The schema, the
-        # row count and the first geometry then come from the pin with
-        # no further execution. An explicit cell_size keeps the fully
-        # streaming single-scan path: at 100 TB, size cells yourself and
-        # nothing is pinned.
+        # pin the narrow source projection of a lazy input — group keys,
+        # aggregate sources and geometry, doc_id only for json — and the
+        # upstream pipeline (e.g. a lazy sjoin) runs exactly once. The
+        # geometry type is only known from the pin, so a lazy point or
+        # line layer is pinned too. A materialized input is read in
+        # place. An explicit cell_size keeps the fully streaming
+        # single-scan path: at 100 TB, size cells yourself and nothing
+        # is pinned.
         src = [*groupby, *(c for c, _f, _o in agg_columns)]
         if any(f == "json" for _c, f, _o in agg_columns):
             src.append("doc_id")
@@ -653,6 +655,8 @@ def dissolve(
         source = ds.map_batches(
             source_columns, batch_format="pyarrow", zero_copy_batch=True
         ).materialize()
+    if isinstance(source, MaterializedDataset):
+        # schema, row count and first geometry with no execution
         if source.count() == 0:
             return ds
         first = _first_geometry(source)

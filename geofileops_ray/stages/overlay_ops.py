@@ -41,11 +41,10 @@ from ..geom.overlay import (
     union_all_parts,
 )
 from ..geom.predicates import points_in_polygon
-from .catalog import _max_coords_estimate, _subdivided_or_none, subdivide_rows
+from .catalog import _max_coords_estimate
 from .spatial_join import (
     _attr_cols,
     _broadcast_side,
-    _cogroup_fields,
     _owner_cell,
     _pair_table,
     _prefixed_schema,
@@ -325,38 +324,40 @@ def _reunion_pairs(t: pa.Table) -> pa.Table:
     l2_doc_id) pair into one row (reference ST_Union GROUP BY fids,
     _geoops_sql.py:2027-2070). Singleton pairs (the vast majority) pass
     through with ONE vectorized filter; only multi-piece pairs are
-    decoded and run the union sweep."""
-    srt = t.take(
-        pc.sort_indices(
-            t,
-            sort_keys=[("l1_doc_id", "ascending"), ("l2_doc_id", "ascending")],
-        )
-    )
-    k1 = srt.column("l1_doc_id").to_numpy()
-    k2 = srt.column("l2_doc_id").to_numpy()
-    n = len(k1)
+    decoded and run the union sweep. ``t`` itself, in its order, when no
+    pair has more than one row, found by sorting the two id columns
+    only."""
+    n = len(t)
     if n == 0:
-        return srt
+        return t
+    order = pc.sort_indices(
+        t.select(["l1_doc_id", "l2_doc_id"]),
+        sort_keys=[("l1_doc_id", "ascending"), ("l2_doc_id", "ascending")],
+    )
+    k1 = t.column("l1_doc_id").take(order).to_numpy()
+    k2 = t.column("l2_doc_id").take(order).to_numpy()
     new1 = np.concatenate([[True], (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])])
     starts = np.flatnonzero(new1)
     L = np.diff(np.concatenate([starts, [n]]))
+    multi = starts[L > 1]
+    if not len(multi):
+        return t
+    srt = t.take(order)
     single = np.repeat(L == 1, L)
     outs = [srt.filter(pa.array(single))]
-    multi = starts[L > 1]
-    if len(multi):
-        # filter just the geometry column (the attrs aren't needed)
-        ga = from_wkb(srt.column(_GEOM).filter(pa.array(~single)))
-        Lm = L[L > 1]
-        sub_starts = np.concatenate([[0], np.cumsum(Lm[:-1])])
-        geoms = []
-        for st, ln in zip(sub_starts, Lm):
-            parts = union_all_parts(
-                [ga._parts_of(int(st + i)) for i in range(int(ln))]
-            )
-            geoms.append(parts_to_geom(parts))
-        g = GeometryArray.from_parts(geoms)
-        base = srt.take(pa.array(multi, pa.int64())).drop_columns([_GEOM])
-        outs.append(base.append_column(_GEOM, to_wkb_arrow(g)))
+    # filter just the geometry column (the attrs aren't needed)
+    ga = from_wkb(srt.column(_GEOM).filter(pa.array(~single)))
+    Lm = L[L > 1]
+    sub_starts = np.concatenate([[0], np.cumsum(Lm[:-1])])
+    geoms = []
+    for st, ln in zip(sub_starts, Lm):
+        parts = union_all_parts(
+            [ga._parts_of(int(st + i)) for i in range(int(ln))]
+        )
+        geoms.append(parts_to_geom(parts))
+    g = GeometryArray.from_parts(geoms)
+    base = srt.take(pa.array(multi, pa.int64())).drop_columns([_GEOM])
+    outs.append(base.append_column(_GEOM, to_wkb_arrow(g)))
     return pa.concat_tables(outs)
 
 
@@ -378,11 +379,12 @@ def intersection(
     Complex inputs (> subdivide_coords coords) are subdivided and the
     per-pair pieces re-unioned per (l1, l2) id pair — the reference's
     probe-and-reunion pass (_geoops_sql.py:1893-1929, :2027-2070). The
-    broadcast-or-partition choice comes first and shapes the rest:
-    broadcast splits the collected layer2 on the driver and each layer1
-    batch's over-limit rows inside its own task, re-unioning there too,
-    so no probe runs; the cell shuffle probes both layers, subdivides
-    them as stages and re-unions with a shuffle."""
+    broadcast-or-partition choice comes first and shapes the rest
+    (``cell_cogroup``'s ``reunion``): broadcast splits the collected
+    layer2 and each layer1 batch's over-limit rows inside its own task,
+    re-unioning there too, so no probe runs; the cell shuffle probes
+    both layers, subdivides them as stages and re-unions with a
+    shuffle."""
     size = size or OPTIONS.cell_size
     cols1 = list(cols1 or _attr_cols(ds1))
     cols2 = list(cols2 or _attr_cols(ds2))
@@ -403,47 +405,10 @@ def intersection(
             _GEOM, pa.array([w for w in wkb if w is not None], pa.binary())
         )
 
-    f1, f2 = _cogroup_fields(ds1, ds2, cols1, cols2)
-    g2 = _broadcast_side(ds2, f2)
-    if g2 is not None:
-        g2_split = subdivide_rows(g2, sub_limit, "l2_" + _GEOM)[0]
-        split2 = g2_split is not g2
-
-        def broadcast_fn(g1, ga1, g2, ga2, cell):
-            g1_split = subdivide_rows(g1, sub_limit, "l1_" + _GEOM)[0]
-            if g1_split is g1 and not split2:
-                return group_fn(g1, ga1, g2, ga2, cell)
-            if g1_split is not g1:
-                ga1 = from_wkb(g1_split.column("l1_" + _GEOM))
-            return _reunion_pairs(group_fn(g1_split, ga1, g2, ga2, cell))
-
-        out = broadcast_cogroup(
-            ds1, g2_split, broadcast_fn, f1, f2,
-            rows_per_task=OPTIONS.broadcast_rows_per_task or None,
-        )
-    else:
-        sub1 = _subdivided_or_none(ds1, sub_limit)
-        sub2 = _subdivided_or_none(ds2, sub_limit)
-        out = cell_cogroup(
-            sub1 if sub1 is not None else ds1,
-            sub2 if sub2 is not None else ds2,
-            group_fn, cols1, cols2, size=size, salt=salt, broadcast=False,
-        )
-        if sub1 is not None or sub2 is not None:
-            from .agg import _salt_parts, default_nparts
-
-            def reunion_part(group: pa.Table) -> pa.Table:
-                return _reunion_pairs(group.drop_columns(["__part"]))
-
-            nparts = default_nparts()  # fixed at the driver
-            out = (
-                out.map_batches(
-                    lambda b: _salt_parts(b, ["l1_doc_id", "l2_doc_id"], nparts),
-                    batch_format="pyarrow",
-                )
-                .groupby("__part")
-                .map_groups(reunion_part, batch_format="pyarrow")
-            )
+    out = cell_cogroup(
+        ds1, ds2, group_fn, cols1, cols2, size=size, salt=salt,
+        subdivide2=sub_limit, reunion=_reunion_pairs,
+    )
     if sliver_tolerance:
         out = _filter_slivers(out, sliver_tolerance)
     return _apply_geom_post(
@@ -984,14 +949,13 @@ def _per_row_overlay(
     f2g = _prefixed_schema(
         ds2.schema().base_schema, "l2_", ["doc_id", _GEOM]
     )
-    g2t = _broadcast_side(ds2, f2g)
+    g2t = _broadcast_side(ds2, f2g, subdivide=sub_limit)
     if g2t is not None:
         # broadcast: every row resolves locally (zero pending rows) — no
-        # materialization / filter / gather stages at all; complex
-        # layer2 rows are split on the driver
+        # materialization / filter / gather stages at all
         out = broadcast_cogroup(
-            ds1, subdivide_rows(g2t, sub_limit, "l2_" + _GEOM)[0], group_fn,
-            f1g, f2g, rows_per_task=OPTIONS.broadcast_rows_per_task or None,
+            ds1, g2t, group_fn, f1g, f2g,
+            rows_per_task=OPTIONS.broadcast_rows_per_task or None,
         ).map_batches(strip, batch_format="pyarrow")
         if sliver_tolerance:
             out = _filter_slivers(out, sliver_tolerance)

@@ -29,12 +29,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 from ..config import OPTIONS
 from ..geom import GeometryArray, bbox_join, bbox_join_auto, from_wkb
 from ..tiling.cells import CELL_OFFSET, CELL_SHIFT, _SALT_SHIFT, compute_salt_map, replicate_to_cells
 from ..util import iter_blocks
-from .catalog import _subdivided_or_none, subdivide_rows
+from .agg import _salt_parts, default_nparts
+from .catalog import _subdivided_or_none, subdivide_rows, subdivide_table
 from .geometry_batch import decode_geometry
 from .relation import RelationQuery, evaluate_pairs, pair_distances
 
@@ -122,20 +124,37 @@ def _probe_collect(
     size crosses ``cap_bytes`` (None = no cap). Returns the Arrow table
     if it fit, else None.
 
-    The driver reads WHOLE blocks of layer2 and picks the columns
-    zero-copy, so a materialized layer2 is collected without launching
-    any Ray execution; a lazy one streams through one. Only projected
-    bytes count against the cap, but a block's other columns still pass
-    through driver memory, one block at a time. The abort bounds the
-    cost to ~cap_bytes + one block: a 50 TB layer2 costs one partial
-    scan to rule out, never a full materialization."""
+    A materialized layer2 is read from its stored blocks with no Ray
+    execution: the driver fetches one WHOLE block at a time (on a
+    multi-node cluster all its columns cross the network) and copies the
+    projected columns out, so the block is freed before the next is read.
+    A lazy layer2 is projected by the workers and streams through one
+    execution, so only projected bytes reach the driver. The abort
+    bounds the cost to ~cap_bytes + one block: a 50 TB layer2 costs one
+    partial scan to rule out, never a full materialization."""
+
+    def proj(block: pa.Table) -> pa.Table:
+        return pa.table(
+            {f.name: block.column(f.name[len(prefix):]) for f in fields}
+        )
+
+    lazy = not isinstance(ds2, MaterializedDataset)
+    blocks = iter_blocks(
+        ds2.map_batches(proj, batch_format="pyarrow", zero_copy_batch=True)
+        if lazy else ds2
+    )
     parts: list[pa.Table] = []
     total = 0
-    with contextlib.closing(iter_blocks(ds2)) as blocks:
+    with contextlib.closing(blocks):
         for block in blocks:
-            t = pa.table(
-                {f.name: block.column(f.name[len(prefix):]) for f in fields}
-            )
+            t = block
+            if not lazy:
+                # copy the picked columns out: no stored block stays alive
+                # on the driver behind them
+                t = proj(block)
+                t = pa.table(
+                    {c: pa.concat_arrays(t.column(c).chunks) for c in t.column_names}
+                )
             parts.append(t)
             total += t.nbytes
             if cap_bytes is not None and total > cap_bytes:
@@ -166,19 +185,31 @@ def _cogroup_fields(
 
 
 def _broadcast_side(
-    ds2: ray.data.Dataset, f2: list[pa.Field], broadcast: bool | None = None
+    ds2: ray.data.Dataset,
+    f2: list[pa.Field],
+    broadcast: bool | None = None,
+    subdivide: int = 0,
 ) -> pa.Table | None:
     """The broadcast-or-partition choice, made before anything else is
     planned: layer2 collected (``f2`` columns) when it takes the
     no-shuffle broadcast path, None for the cell shuffle. ``broadcast``:
     None picks broadcast when the projected layer2 is at most
     ``OPTIONS.broadcast_bytes``; True forces it; False forces the
-    shuffle. ``broadcast_bytes = 0`` disables broadcast altogether."""
+    shuffle. ``broadcast_bytes = 0`` disables broadcast altogether.
+
+    ``subdivide`` > 0 splits the collected geometries over that many
+    coordinates into grid pieces (``catalog.subdivide_table``: a Ray map
+    over just those rows, none when a byte-length scan finds no such
+    row). The cap applies to the pieces too: when they outgrow it, the
+    cell shuffle is chosen after all."""
     if broadcast is False or not OPTIONS.broadcast_bytes:
         return None
-    return _probe_collect(
-        ds2, f2, None if broadcast else OPTIONS.broadcast_bytes
-    )
+    cap = None if broadcast else OPTIONS.broadcast_bytes
+    g2 = _probe_collect(ds2, f2, cap)
+    if g2 is None or not subdivide:
+        return g2
+    g2 = subdivide_table(g2, subdivide, "l2_" + _GEOM)
+    return None if cap is not None and g2.nbytes > cap else g2
 
 
 def broadcast_cogroup(
@@ -249,6 +280,7 @@ def cell_cogroup(
     salt: bool = False,
     broadcast: bool | None = None,
     subdivide2: int = 0,
+    reunion: Callable[[pa.Table], pa.Table] | None = None,
 ) -> ray.data.Dataset:
     """The co-group harness. ``group_fn(t1, ga1, t2, ga2, cell)`` is
     called per cell with the two decoded sides (columns already
@@ -268,23 +300,33 @@ def cell_cogroup(
 
     ``subdivide2`` > 0 splits layer2 geometries over that many
     coordinates into grid pieces keeping their doc_id: the collected
-    table on the driver on the broadcast path, a probed subdivide stage
-    on the cell path. Only for ops whose answer per layer1 row does not
-    depend on how layer2 is cut."""
+    table on the broadcast path, a probed subdivide stage on the cell
+    path. Without ``reunion`` only for ops whose answer per layer1 row
+    does not depend on how layer2 is cut. ``reunion`` splits layer1 at
+    the same limit too and merges the output rows of one (l1_doc_id,
+    l2_doc_id) pair with ``reunion(table)``: inside each task on the
+    broadcast path (layer1 rows are split there too, so no probe runs),
+    by a shuffle on the pair on the cell path."""
     size = size or OPTIONS.cell_size
     f1, f2 = _cogroup_fields(ds1, ds2, cols1, cols2)
     all_fields = f1 + f2
-    g2 = _broadcast_side(ds2, f2, broadcast)
+    g2 = _broadcast_side(ds2, f2, broadcast, subdivide2)
     if g2 is not None:
-        if subdivide2:
-            g2 = subdivide_rows(g2, subdivide2, "l2_" + _GEOM)[0]
+
+        def split_fn(g1, ga1, t2, ga2, cell):
+            g1s = subdivide_rows(g1, subdivide2, "l1_" + _GEOM)[0]
+            if g1s is not g1:
+                ga1 = from_wkb(g1s.column("l1_" + _GEOM))
+            return reunion(group_fn(g1s, ga1, t2, ga2, cell))
+
         return broadcast_cogroup(
-            ds1, g2, group_fn, f1, f2,
+            ds1, g2, group_fn if reunion is None else split_fn, f1, f2,
             rows_per_task=OPTIONS.broadcast_rows_per_task or None,
         )
-    if subdivide2:
-        sub2 = _subdivided_or_none(ds2, subdivide2)
-        ds2 = sub2 if sub2 is not None else ds2
+    sub1 = _subdivided_or_none(ds1, subdivide2) if reunion is not None else None
+    sub2 = _subdivided_or_none(ds2, subdivide2) if subdivide2 else None
+    ds1 = sub1 if sub1 is not None else ds1
+    ds2 = sub2 if sub2 is not None else ds2
     salt_map = (
         compute_salt_map(ds1, size, expand=expand1) if salt else None
     )
@@ -322,7 +364,22 @@ def cell_cogroup(
         # with a stable schema, so Ray's block schema tracking stays sane
         return group_fn(g1, ga1, g2, ga2, cell)
 
-    return tagged.groupby("__cell").map_groups(per_group, batch_format="pyarrow")
+    out = tagged.groupby("__cell").map_groups(per_group, batch_format="pyarrow")
+    if reunion is None or (sub1 is None and sub2 is None):
+        return out
+
+    def reunion_part(group: pa.Table) -> pa.Table:
+        return reunion(group.drop_columns(["__part"]))
+
+    nparts = default_nparts()  # fixed at the driver
+    return (
+        out.map_batches(
+            lambda b: _salt_parts(b, ["l1_doc_id", "l2_doc_id"], nparts),
+            batch_format="pyarrow",
+        )
+        .groupby("__part")
+        .map_groups(reunion_part, batch_format="pyarrow")
+    )
 
 
 # --------------------------------------------------------- dedup helpers

@@ -72,3 +72,19 @@ def test_join_then_dissolve_executions(ray_session, executions):
     assert len(plans) <= 5, plans
     assert not [p for p in plans if "LimitOperator" in p], plans
     assert sum(r["nb_rows"] for r in out.take_all()) == joined.count() > 0
+
+
+def test_materialized_line_dissolve_pins_nothing(ray_session, executions):
+    """A materialized input is read in place: a line dissolve plans with
+    no execution and pins no projection of its own."""
+    from geofileops_ray.io import synth
+    from geofileops_ray.stages.dissolve import dissolve
+
+    lines = synth.lines_dataset(SF).materialize()
+    executions.clear()
+    out = dissolve(
+        lines, groupby=["grp"], agg_columns=[("doc_id", "count", "nb_rows")]
+    )
+    assert executions == []
+    assert sum(r["nb_rows"] for r in out.take_all()) == lines.count() > 0
+    assert not [p for p in executions if "source_columns" in p], executions

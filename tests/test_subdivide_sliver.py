@@ -163,3 +163,35 @@ def test_difference_and_export_subdivided_on_both_paths(
     got_ids = kept()
     monkeypatch.setattr(overlay_ops, "_SUBDIVIDE_DIFFERENCE", 10**9)
     assert got_ids == kept() and len(got_ids) > 0
+
+
+def test_subdivide_table_matches_batch_kernel(ray_session):
+    """The parallel split of a collected table gives the serial batch
+    kernel's rows, in its order; a table with no row over the limit is
+    returned as is."""
+    from geofileops_ray.stages.catalog import subdivide_rows, subdivide_table
+    from geofileops_ray.util import collect
+
+    rows = [(1, _circle_poly(0, 0, 5, 40)), (2, _circle_poly(50, 50, 45, 3000)),
+            (3, _circle_poly(9, 9, 2, 30)), (4, _circle_poly(160, 50, 40, 2500))]
+    t = collect(_ds(rows))
+    assert subdivide_table(t, 10**9) is t
+    got = subdivide_table(t, 1000)
+    want = subdivide_rows(t, 1000)[0]
+    assert len(got) > len(t)
+    assert got.equals(want)
+
+
+def test_broadcast_pieces_over_cap_take_cell_path(ray_session, complex_layer, monkeypatch):
+    """The broadcast cap also bounds the split layer2: when its pieces
+    outgrow it, the cell shuffle is chosen."""
+    from geofileops_ray.config import OPTIONS
+    from geofileops_ray.stages.spatial_join import _broadcast_side, _prefixed_schema
+
+    f2 = _prefixed_schema(complex_layer.schema().base_schema, "l2_", ["doc_id", "geometry"])
+    whole = _broadcast_side(complex_layer, f2)
+    pieces = _broadcast_side(complex_layer, f2, subdivide=2000)
+    assert len(pieces) > len(whole) and pieces.nbytes > whole.nbytes
+    monkeypatch.setattr(OPTIONS, "broadcast_bytes", whole.nbytes)
+    assert _broadcast_side(complex_layer, f2, subdivide=2000) is None
+    assert len(_broadcast_side(complex_layer, f2, True, 2000)) == len(pieces)

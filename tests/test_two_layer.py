@@ -734,3 +734,18 @@ def test_join_nearest_ignores_point_empty(ray_session, cap):
     assert len(want) == 2 * len(pts)
     assert run(layer(pts, [empty_le, empty_be]), layer(rects, [])) == want
     assert run(layer(pts, []), layer(rects, [empty_le, empty_be])) == want
+
+
+def test_probe_collect_lazy_and_materialized_agree(ray_session):
+    """layer2 is collected the same way whether it is read from stored
+    blocks (materialized) or projected by the workers (lazy)."""
+    from geofileops_ray.io import synth
+    from geofileops_ray.stages.spatial_join import _prefixed_schema, _probe_collect
+
+    lazy = synth.zones_dataset(SF)
+    mat = lazy.materialize()
+    f2 = _prefixed_schema(mat.schema().base_schema, "l2_", ["doc_id", "naam", "geometry"])
+    a = _probe_collect(lazy, f2, None)
+    b = _probe_collect(mat, f2, None)
+    assert a.equals(b) and len(b) == mat.count() > 0
+    assert _probe_collect(mat, f2, b.nbytes - 1) is None
