@@ -9,10 +9,11 @@ CORRECTNESS_r{N}.json).
 Ray is initialised by the driver BEFORE this module is imported: nothing
 here (or in the library) calls ``ray.init()`` / ``ray.shutdown()``.
 
-The engine's canonical input is the ``documents`` table (interleaved
-text+media spans per BASELINE.json input_hint); the geometry layers are
-deterministic pure-int64 functions of doc_id (io/synth.py) so every
-spatial result is reproducible by plain SQL in the DuckDB oracle.
+The engine's canonical input is the ``documents`` table; the geometry
+layers (each row also carrying its interleaved text+media spans, per
+BASELINE.json input_hint) are deterministic pure-int64 functions of
+doc_id (io/synth.py), so every result is reproducible by plain SQL in
+the DuckDB oracle.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ def entry() -> Any:
     """Flagship sjoin + dissolve pipeline on sf0.001 (the BASELINE.json
     headline metric shape): parcels×zones spatial join → dissolve by
     (GEWASGROEP, zone)."""
+    from geofileops_ray.io.synth import parcels_dataset, zones_dataset
     from geofileops_ray.pipelines import flagship
 
-    return flagship("/root/testdata/sf0.001")
+    sf = "/root/testdata/sf0.001"
+    return flagship(parcels_dataset(sf), zones_dataset(sf))
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

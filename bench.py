@@ -41,33 +41,6 @@ def _auto_repeat(sf_dir: str, target: int) -> int:
     return max(1, target // n)
 
 
-def _flagship(p, z, dissolve, join_by_location):
-    import pyarrow as pa
-
-    joined = join_by_location(
-        p, z, "intersects is True",
-        cols1=["GEWASGROEP", "OPPERVL"], cols2=["naam"], salt=True,
-    )
-
-    def rewrap(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch.column("l1_doc_id"),
-                "GEWASGROEP": batch.column("l1_GEWASGROEP"),
-                "naam": batch.column("l2_naam"),
-                "OPPERVL": batch.column("l1_OPPERVL"),
-                "geometry": batch.column("l1_geometry"),
-            }
-        )
-
-    out = dissolve(
-        joined.map_batches(rewrap, batch_format="pyarrow"),
-        groupby=["GEWASGROEP", "naam"],
-        agg_columns=[("OPPERVL", "sum", "sum_oppervl"), ("doc_id", "count", "nb_rows")],
-    )
-    return out.count()
-
-
 def run_benchmarks(num_cpus: int, only_flagship: bool = False, repeat: int = 0) -> dict:
     import ray
 
@@ -82,8 +55,6 @@ def run_benchmarks(num_cpus: int, only_flagship: bool = False, repeat: int = 0) 
 
     logging.getLogger("ray.data").setLevel(logging.ERROR)
 
-    import ray.data
-
     from geofileops_ray.io.synth import (
         lshapes_dataset,
         parcels_dataset,
@@ -91,6 +62,7 @@ def run_benchmarks(num_cpus: int, only_flagship: bool = False, repeat: int = 0) 
         triangles_dataset,
         zones_dataset,
     )
+    from geofileops_ray.pipelines import flagship
     from geofileops_ray.stages import single_layer as sl
     from geofileops_ray.stages.dissolve import dissolve
     from geofileops_ray.stages.knn import join_nearest
@@ -99,8 +71,6 @@ def run_benchmarks(num_cpus: int, only_flagship: bool = False, repeat: int = 0) 
         export_by_location,
         join_by_location,
     )
-    from geofileops_ray.textops import dedup as td
-    from geofileops_ray.textops import similarity as ts
 
     repeat = repeat or REPEAT or _auto_repeat(SF_DIR, 500_000)
     p = parcels_dataset(SF_DIR, repeat).materialize()
@@ -126,7 +96,7 @@ def run_benchmarks(num_cpus: int, only_flagship: bool = False, repeat: int = 0) 
         return out, best
 
     results: dict[str, float] = {}
-    _, t_flag = timed(lambda: _flagship(p, z, dissolve, join_by_location))
+    _, t_flag = timed(lambda: flagship(p, z).count())
     results["sjoin_dissolve"] = round(t_flag, 3)
 
     if not only_flagship:
@@ -215,110 +185,11 @@ def run_benchmarks(num_cpus: int, only_flagship: bool = False, repeat: int = 0) 
             lambda: join_nearest(pts, z, nb_nearest=1, cols1=[], cols2=[]).count()
         )
         results["join_nearest"] = round(t, 3)
-        docs = ray.data.read_parquet(f"{SF_DIR}/documents.parquet")
-        _, t = timed(lambda: td.minhash_signatures(docs).count())
-        results["minhash"] = round(t, 3)
-        from geofileops_ray.textops import sampling as tsm
-
-        _, t = timed(lambda: tsm.tfidf_topk(docs, k=5).count())
-        results["tfidf"] = round(t, 3)
-        # curation family at the expanded row count (repeat copies share
-        # text → the fingerprint-dedup stage collapses ~repeat× — the
-        # boilerplate-heavy shape a curation run actually faces)
-        from geofileops_ray.io.synth import docspans_dataset, expand_documents
-        from geofileops_ray.textops import contamination as tcn
-        from geofileops_ray.textops.curation import curate_corpus
-        from geofileops_ray.textops.spans import span_dedup
-
-        docs_big = expand_documents(docs, repeat).materialize()
-        _, t = timed(lambda: tcn.ngram_decontaminate(docs_big).count())
-        results["decontaminate"] = round(t, 3)
-        _, t = timed(lambda: curate_corpus(docs_big).count())
-        results["curation"] = round(t, 3)
-        dsp = docspans_dataset(SF_DIR, repeat).materialize()
-        _, t = timed(lambda: span_dedup(dsp).count())
-        results["span_dedup"] = round(t, 3)
-        from geofileops_ray.textops.packing import pack_sequences
-
-        _, t = timed(lambda: pack_sequences(docs_big, budget=2048).count())
-        results["pack_sequences"] = round(t, 3)
-        # bloom blocklist over the expanded corpus (build on the %97
-        # slice, probe everything — the constant-memory decontamination
-        # scale path)
-        from geofileops_ray.textops.sketches import (
-            bloom_membership,
-            build_bloom,
-        )
-
-        def _bloom_run():
-            import pyarrow as _pa
-
-            def blockside(b):
-                ids = b.column("doc_id").to_numpy(zero_copy_only=False)
-                return b.filter(_pa.array(ids % 97 == 0))
-
-            bl = build_bloom(
-                docs_big.map_batches(blockside, batch_format="pyarrow"),
-                "text", n_bits=1 << 20, n_hashes=4,
-            )
-            return bloom_membership(
-                docs_big, bl, "text", n_bits=1 << 20, n_hashes=4
-            ).count()
-
-        _, t = timed(_bloom_run)
-        results["bloom_blocklist"] = round(t, 3)
-        # BM25 scoring pass over the expanded corpus (stats combiner +
-        # stateless score, no shuffle)
-        from geofileops_ray.textops.retrieval import bm25_score
-
-        _, t = timed(
-            lambda: bm25_score(docs_big, "spark table join", k=10).num_rows
-        )
-        results["bm25_topk"] = round(t, 3)
-        import numpy as np
-        import pyarrow.parquet as pq
-
-        qv = (
-            pq.read_table(f"{SF_DIR}/embeddings.parquet", columns=["embedding"])
-            .column("embedding")[0]
-            .as_py()
-        )
-        emb = ray.data.read_parquet(f"{SF_DIR}/embeddings.parquet")
-        _, t = timed(lambda: ts.brute_topk(emb, np.array([qv]), k=10))
-        results["embedding_topk"] = round(t, 3)
-
-        # distributed Lloyd k-means over the expanded vector table
-        # (repeat× rows, 64-dim) — 3 iterations, per-block combiner
-        def _expand_vec(b):
-            import pyarrow as _pa
-
-            n = len(b)
-            idx = np.repeat(np.arange(n, dtype=np.int64), repeat)
-            out = b.take(_pa.array(idx))
-            j = np.tile(np.arange(repeat, dtype=np.int64), n)
-            ids = out.column("vec_id").to_numpy() * repeat + j
-            return out.set_column(
-                out.schema.get_field_index("vec_id"), "vec_id",
-                _pa.array(ids, _pa.int64()),
-            )
-
-        emb_big = emb.map_batches(
-            _expand_vec, batch_format="pyarrow", zero_copy_batch=True
-        ).materialize()
-        _, t = timed(lambda: ts.kmeans_fit(emb_big, k=16, iters=3).shape[0])
-        results["kmeans_fit"] = round(t, 3)
-        from geofileops_ray.textops.events import asof_join_events, sessionize
-        from geofileops_ray.tiling.grid import polygonize_covered
-
-        ev = ray.data.read_parquet(f"{SF_DIR}/events.parquet").materialize()
-        _, t = timed(lambda: sessionize(ev).count())
-        results["sessionize"] = round(t, 3)
-        _, t = timed(lambda: asof_join_events(ev).count())
-        results["asof_join"] = round(t, 3)
         from ray.data.aggregate import Max as _Max
         from ray.data.aggregate import Min as _Min
 
         from geofileops_ray.stages.geometry_batch import add_bounds
+        from geofileops_ray.tiling.grid import polygonize_covered
 
         bb = p.map_batches(
             lambda b: add_bounds(b).select(["minx", "miny", "maxx", "maxy"]),

@@ -70,16 +70,12 @@ class Options:
     # dense block from being the op's wall time. Tunable because the
     # crossover is host-dependent.
     broadcast_split_min_cpus: int = _env_int("GFR_BCAST_SPLIT_MIN_CPUS", 16)
-    # number of shuffle partitions for groupby/join stages (0 = let Ray pick)
-    shuffle_partitions: int = _env_int("GFR_SHUFFLE_PARTITIONS", 0)
     # sliver tolerance applied to overlay outputs (GFO_SLIVER_TOLERANCE
     # default 0.001 projected, helpers/_options.py:575)
     sliver_tolerance: float = _env_float("GFR_SLIVER_TOLERANCE", 0.001)
-    # lineage checkpoint directory ("" disables checkpointing)
-    checkpoint_dir: str = os.environ.get("GFR_CHECKPOINT_DIR", "")
-    # blocks to split single-file parquet reads into (GFR_READ_BLOCKS,
-    # read in io/synth.read_documents) — parallelism floor when the
-    # source has fewer fragments than the cluster has slots
+    # blocks to split single-file parquet reads into
+    # (io/synth.read_documents) — parallelism floor when the source has
+    # fewer fragments than the cluster has slots
     read_blocks: int = _env_int("GFR_READ_BLOCKS", 64)
 
 

@@ -52,12 +52,6 @@ TYPE_NAMES = {
     GEOMETRYCOLLECTION: "GEOMETRYCOLLECTION",
 }
 
-# Which types carry ring semantics (polygonal) vs line vs point
-_POLY_TYPES = (POLYGON, MULTIPOLYGON)
-_LINE_TYPES = (LINESTRING, MULTILINESTRING)
-_POINT_TYPES = (POINT, MULTIPOINT)
-
-
 @dataclass
 class GeometryArray:
     types: np.ndarray  # int8[n]

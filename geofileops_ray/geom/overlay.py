@@ -137,15 +137,6 @@ def _rings_to_parts(rings: list[np.ndarray]) -> list[list[np.ndarray]]:
     return parts
 
 
-def _bbox_overlap(r1: np.ndarray, r2: np.ndarray) -> bool:
-    return bool(
-        r1[:, 0].min() <= r2[:, 0].max()
-        and r1[:, 0].max() >= r2[:, 0].min()
-        and r1[:, 1].min() <= r2[:, 1].max()
-        and r1[:, 1].max() >= r2[:, 1].min()
-    )
-
-
 # ------------------------------------------------- polygon-level operations
 
 

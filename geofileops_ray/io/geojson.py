@@ -11,14 +11,15 @@ directly:
   an interchange endpoint; a 100 TB corpus is Parquet/Lance, never one
   JSON document.
 * **GeoJSONSeq / NDJSON** (one feature per line, RFC 8142-style): the
-  scale path — ``ray.data.read_text`` streams lines and each batch
-  parses independently (embarrassingly parallel).
+  scale path — ``ray.data.read_text`` reads the lines and the blocks
+  parse in parallel, to one schema decided for the whole file.
 * **CSV with a WKT geometry column**: ``ray.data.read_csv`` + the WKT
   codec per batch.
 
 fid handling mirrors the reference (fileops read_file ``fid_as_index``):
 a feature's ``id`` member becomes the ``fid`` column when present,
-else a sequential int64. CRS: RFC 7946 GeoJSON is WGS84; the legacy
+else its sequential position (GeoJSONSeq: null, and no ``fid`` column
+when no feature has an id). CRS: RFC 7946 GeoJSON is WGS84; the legacy
 ``crs`` member (``urn:ogc:def:crs:EPSG::31370`` / ``EPSG:31370``) is
 parsed by ``geojson_crs`` and written by ``write_geojson(epsg=...)``.
 """
@@ -37,29 +38,52 @@ _GEOM = "geometry"
 _SEQ_SUFFIXES = (".geojsonl", ".geojsons", ".ndjson", ".jsonl")
 
 
-def _features_table(feats: list[dict], fid_base: int = 0) -> pa.Table:
-    """Feature dicts → Arrow table (fid, properties…, geometry WKB)."""
+def _property_columns(
+    feats: list[dict], schema: pa.Schema | None = None
+) -> dict[str, pa.Array]:
+    """Property columns of ``feats``: keys in first-seen order (like OGR)
+    with inferred types, or exactly the fields of ``schema``."""
+    props = [f.get("properties") or {} for f in feats]
+    if schema is None:
+        keys = list(dict.fromkeys(k for p in props for k in p))
+        types = [None] * len(keys)
+    else:
+        keys, types = schema.names, schema.types
+    return {
+        k: pa.array([p.get(k) for p in props], type=t)
+        for k, t in zip(keys, types)
+    }
+
+
+def _features_table(
+    feats: list[dict], fids: list | None, schema: pa.Schema | None = None
+) -> pa.Table:
+    """Feature dicts → Arrow table (fid when ``fids`` is given,
+    properties…, geometry WKB)."""
     from ..geom.geojson import from_geojson
     from ..geom.wkb import to_wkb_arrow
 
-    ga = from_geojson([f.get("geometry") for f in feats])
-    wkb = to_wkb_arrow(ga)
-    fids, props_keys = [], []
-    seen = set()
-    for k, f in enumerate(feats):
-        fid = f.get("id")
-        fids.append(int(fid) if isinstance(fid, (int, float)) else fid_base + k)
-        for key in (f.get("properties") or {}):
-            if key not in seen:
-                seen.add(key)
-                props_keys.append(key)  # first-seen order, like OGR
-    cols: dict = {"fid": pa.array(fids, pa.int64())}
-    for key in props_keys:
-        cols[key] = pa.array(
-            [(f.get("properties") or {}).get(key) for f in feats]
-        )
+    wkb = to_wkb_arrow(from_geojson([f.get("geometry") for f in feats]))
+    cols: dict = {} if fids is None else {"fid": pa.array(fids, pa.int64())}
+    cols.update(_property_columns(feats, schema))
     cols[_GEOM] = wkb if isinstance(wkb, pa.Array) else wkb.combine_chunks()
     return pa.table(cols)
+
+
+def _parse_lines(text: pa.Array) -> list[dict]:
+    return [json.loads(s) for s in text.to_pylist() if s.strip()]
+
+
+@ray.remote
+def _seq_block_schema(block) -> tuple[pa.Schema, bool]:
+    """One GeoJSONSeq text block → (its property schema, whether any
+    feature carries an ``id``)."""
+    from ray.data.block import BlockAccessor
+
+    feats = _parse_lines(BlockAccessor.for_block(block).to_arrow().column("text"))
+    props = _property_columns(feats)
+    has_id = any(f.get("id") is not None for f in feats)
+    return pa.schema([(k, v.type) for k, v in props.items()]), has_id
 
 
 def geojson_crs(path: str) -> int | None:
@@ -92,19 +116,41 @@ def read_geojson(
 ) -> ray.data.Dataset:
     """GeoJSON layer → Dataset of (fid, properties…, geometry WKB).
 
-    ``.geojsonl``/``.ndjson`` (one feature per line) streams through
-    ``ray.data.read_text``; a FeatureCollection document parses once
+    ``.geojsonl``/``.ndjson`` (one feature per line) reads through
+    ``ray.data.read_text``: one task per text block finds its property
+    schema, the caller unifies them, and every block then parses in
+    parallel to that schema. A FeatureCollection document parses once
     and is re-blocked (interchange-scale by construction)."""
     if path.endswith(_SEQ_SUFFIXES):
-        txt = ray.data.read_text(path)
+        # a per-line file has no stable sequential fid: a fid column
+        # exists iff some feature has an id, null on lines without one
+        txt = ray.data.read_text(path).materialize()
+        summaries = ray.get([
+            _seq_block_schema.remote(ref)
+            for bundle in txt.iter_internal_ref_bundles()
+            for ref, _meta in bundle.blocks
+        ])
+        try:
+            schema = pa.unify_schemas(
+                [sch for sch, _ in summaries] or [pa.schema([])],
+                promote_options="permissive",
+            )
+        except (pa.ArrowInvalid, pa.ArrowTypeError) as e:
+            raise ValueError(
+                f"GeoJSONSeq {path!r}: a property has incompatible types "
+                f"across features: {e}"
+            ) from e
+        has_id = any(h for _, h in summaries)
 
         def parse(batch: pa.Table) -> pa.Table:
-            feats = [json.loads(s) for s in batch.column("text").to_pylist() if s.strip()]
-            t = _features_table(feats)
-            # per-line features have no stable sequential fid across
-            # blocks: synthesize NOTHING — keep explicit ids, else null
-            if all(f.get("id") is None for f in feats):
-                t = t.drop_columns(["fid"])
+            feats = _parse_lines(batch.column("text"))
+            fids = None
+            if has_id:
+                fids = [
+                    int(f["id"]) if isinstance(f.get("id"), (int, float)) else None
+                    for f in feats
+                ]
+            t = _features_table(feats, fids, schema)
             return t.select(columns) if columns else t
 
         return txt.map_batches(parse, batch_format="pyarrow")
@@ -116,14 +162,19 @@ def read_geojson(
         feats = doc.get("features") or []
     else:  # a bare geometry object
         feats = [{"type": "Feature", "geometry": doc, "properties": {}}]
-    block = 65536
-    tabs = [
-        _features_table(feats[i : i + block], fid_base=i)
-        for i in range(0, max(len(feats), 1), block)
+    # one table, so columns and types are decided over every feature;
+    # the fid is the feature id, else its position in the file
+    fids = [
+        int(f["id"]) if isinstance(f.get("id"), (int, float)) else k
+        for k, f in enumerate(feats)
     ]
+    t = _features_table(feats, fids)
     if columns:
-        tabs = [t.select(columns) for t in tabs]
-    return ray.data.from_arrow(tabs)
+        t = t.select(columns)
+    block = 65536
+    return ray.data.from_arrow(
+        [t.slice(i, block) for i in range(0, max(len(t), 1), block)]
+    )
 
 
 def write_geojson(

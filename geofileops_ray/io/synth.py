@@ -37,17 +37,6 @@ GRID_W = 100  # sparse grid columns
 CELL = 10  # grid pitch (units)
 URBAN_W = 25  # urban cluster is URBAN_W x URBAN_W grid cells
 
-SPAN_TYPE = pa.list_(
-    pa.struct(
-        [
-            ("kind", pa.string()),
-            ("text", pa.string()),
-            ("media_ref", pa.string()),
-            ("offset", pa.int32()),
-        ]
-    )
-)
-
 
 def _hash(doc_id: np.ndarray) -> np.ndarray:
     # exact doc_id * MULT mod 2^32 at ANY doc_id: reduce mod 2^32 first
@@ -193,18 +182,17 @@ parcels AS (
 
 
 def read_documents(sf_dir: str, columns=("doc_id", "text", "lang")) -> ray.data.Dataset:
-    import os
-
     # the driver tables are single small parquet files → a naive read is
     # ONE block and every downstream map/groupby runs serially. Force a
     # block count sized to the cluster so the streaming executor can
     # parallelize (at real scale the Lance/parquet dataset has many
     # fragments and this is a no-op).
-    nblocks = int(os.environ.get("GFR_READ_BLOCKS", "64"))
+    from ..config import OPTIONS
+
     return ray.data.read_parquet(
         f"{sf_dir}/documents.parquet",
         columns=list(columns),
-        override_num_blocks=nblocks,
+        override_num_blocks=OPTIONS.read_blocks,
     )
 
 
@@ -949,77 +937,4 @@ def mixedsubj_dataset(sf_dir: str, repeat: int = 1) -> ray.data.Dataset:
 def mixedcover_dataset(sf_dir: str, repeat: int = 1) -> ray.data.Dataset:
     return expand_documents(read_documents(sf_dir), repeat).map_batches(
         synth_mixedcover_batch, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-
-# ------------------------------ docspans (layer 9, variable interleaved spans)
-
-
-def synth_docspans_batch(batch: pa.Table) -> pa.Table:
-    """documents batch → interleaved-span layer with a VARIABLE number of
-    spans per doc (2 + h%4, alternating text/media by (h+i) parity) —
-    the fixed 3-span layers make kind-filters degenerate; this one
-    exercises explode / filter / order-preserving reassembly for real.
-    Exactly mirrored by DOCSPANS_CTE (exploded relational form)."""
-    doc_id = batch.column("doc_id").to_numpy()
-    text = batch.column("text").to_pylist()
-    h = _hash(doc_id)
-    n = (2 + h % 4).astype(np.int64)
-    total = int(n.sum())
-    parent = np.repeat(np.arange(len(doc_id), dtype=np.int64), n)
-    starts = np.concatenate([[0], np.cumsum(n)[:-1]])
-    i = np.arange(total, dtype=np.int64) - np.repeat(starts, n)
-    is_text = (h[parent] + i) % 2 == 0
-    pieces, refs = [], []
-    ref_num = (h[parent] + 7 * i) % 1000
-    for k in range(total):
-        if is_text[k]:
-            t = text[parent[k]] or ""
-            pieces.append(t[4 * i[k] : 4 * i[k] + 4])
-            refs.append("")
-        else:
-            pieces.append("")
-            refs.append(f"media://{ref_num[k]}")
-    structs = pa.StructArray.from_arrays(
-        [
-            pa.array(np.where(is_text, "text", "media").tolist(), pa.string()),
-            pa.array(pieces, pa.string()),
-            pa.array(refs, pa.string()),
-            pa.array(i.astype(np.int32), pa.int32()),
-        ],
-        names=["kind", "text", "media_ref", "offset"],
-    )
-    offsets = pa.array(np.concatenate([starts, [total]]).astype(np.int32))
-    return pa.table(
-        {
-            "doc_id": pa.array(doc_id, pa.int64()),
-            "spans": pa.ListArray.from_arrays(offsets, structs),
-        }
-    )
-
-
-# SQL mirror — the EXPLODED relation (one row per span, in-order by
-# span_off). No lateral join needed: cross join range(0,5) + filter.
-DOCSPANS_CTE = """
-docspans AS (
-  SELECT d.doc_id,
-         r.i AS span_idx,
-         CASE WHEN (d.h + r.i) % 2 = 0 THEN 'text' ELSE 'media' END AS kind,
-         CASE WHEN (d.h + r.i) % 2 = 0
-              THEN substr(d.text, CAST(1 + 4 * r.i AS INT), 4) ELSE '' END AS piece,
-         CASE WHEN (d.h + r.i) % 2 = 0 THEN ''
-              ELSE 'media://' || CAST((d.h + 7 * r.i) % 1000 AS VARCHAR)
-         END AS media_ref,
-         CAST(r.i AS INT) AS span_off
-  FROM (SELECT doc_id, text, (doc_id * 2654435761) % 4294967296 AS h
-        FROM documents) d
-  CROSS JOIN (SELECT CAST(range AS BIGINT) AS i FROM range(0, 5)) r
-  WHERE r.i < 2 + d.h % 4
-)
-"""
-
-
-def docspans_dataset(sf_dir: str, repeat: int = 1) -> ray.data.Dataset:
-    return expand_documents(read_documents(sf_dir), repeat).map_batches(
-        synth_docspans_batch, batch_format="pyarrow", zero_copy_batch=True
     )

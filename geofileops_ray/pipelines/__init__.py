@@ -1,3 +1,3 @@
-"""Named end-to-end pipelines + the driver-facing query/oracle registry."""
+"""The flagship pipeline + the query/oracle registry behind ``__ray_entry__``."""
 
 from .queries import ORACLES, QUERIES, flagship  # noqa: F401

@@ -128,6 +128,14 @@ def default_nparts() -> int:
     return max(4, pool_cpus() * 2)
 
 
+# ``aggregator_ray_remote_args`` for every ``Dataset.join``. Ray 2.49's
+# join aggregator actors each hold a fractional CPU while its shuffle
+# tasks ask for a whole one, so on a 1-CPU session the shuffle tasks are
+# never scheduled and the join hangs. Zero-CPU aggregators leave the
+# CPU to the tasks.
+JOIN_AGGREGATOR_ARGS = {"num_cpus": 0}
+
+
 def _salt_parts(batch: pa.Table, key_cols: list[str], nparts: int) -> pa.Table:
     """Append ``__part`` = hash(key columns) % nparts — same key, same
     partition; the partition count (≈2×CPU) bounds per-group Python

@@ -138,8 +138,8 @@ def layer_digest(
     (fileops.py:2706-3480): two layers hold the same multiset of
     (id, geometry) rows iff their digests AND row counts match.
 
-    Per row ``h = md5_number_lower(key)`` (DuckDB-reproducible, like
-    textops.dedup); digest = ``sum(h) mod (2^63 - 1)``. Partial sums are
+    Per row ``h = md5_number_lower(key)`` (DuckDB-reproducible,
+    ``util.md5_u64``); digest = ``sum(h) mod (2^63 - 1)``. Partial sums are
     combined per batch BEFORE the reduce, so the aggregate moves one
     int per block regardless of layer size.
 

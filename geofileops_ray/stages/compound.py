@@ -35,6 +35,7 @@ import ray.data
 from ..config import OPTIONS
 from ..geom import GeometryArray, bbox_join, bbox_join_auto, from_wkb, to_wkb
 from ..geom.overlay import parts_to_geom, polygon_overlay, union_all_parts
+from .agg import JOIN_AGGREGATOR_ARGS
 from .geometry_batch import decode_geometry
 from .spatial_join import _pair_table, _ref_cell, cell_cogroup
 
@@ -398,7 +399,8 @@ def union_full_self(
         # scale hash-join partitions with both pool size and piece count
         nparts = max(2, min(max(ncpu, 16), n_cut // 10_000 + ncpu))
         cut_out = counts.join(
-            geoms, join_type="inner", num_partitions=nparts, on=("piece_id",)
+            geoms, join_type="inner", num_partitions=nparts, on=("piece_id",),
+            aggregator_ray_remote_args=JOIN_AGGREGATOR_ARGS,
         )
         return cut_out.union(passed)
 

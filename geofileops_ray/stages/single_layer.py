@@ -15,6 +15,7 @@ reads/writes — no temp files, no merge step.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -184,37 +185,44 @@ def apply_vectorized(
     return _apply_op(ds, func, **post)
 
 
-def select(ds: ray.data.Dataset, sql: str, concurrency=None) -> ray.data.Dataset:
+@functools.lru_cache(maxsize=2)
+def _select_connection(st_functions: bool):
+    """One DuckDB connection per worker process and flag, reused by
+    every ``select`` task the process runs (a Ray worker runs one task
+    at a time), so the ST_* set is registered once per process."""
+    import duckdb
+
+    from .sqlfuncs import register_st_functions
+
+    con = duckdb.connect()
+    if st_functions:
+        register_st_functions(con)
+    return con
+
+
+def select(ds: ray.data.Dataset, sql: str) -> ray.data.Dataset:
     """User SQL over the layer (reference: SQLite dialect with
     {batch_filter} placeholders, geoops.py:1620-1786). Here: DuckDB over
     each Arrow batch registered as view ``batch`` — Ray block boundaries
     play the role of {batch_filter}; the query must be batch-safe
     (row-wise / windowless), same caveat as the reference's nb_parallel>1
-    mode."""
+    mode. A task map: a pool actor would hold its CPU for the whole
+    stage and starve the upstream read on a 1-CPU session."""
+    from .sqlfuncs import wants_st
 
-    class SelectBatch:
-        def __init__(self):
-            import duckdb
+    st_functions = wants_st(sql)
 
-            from .sqlfuncs import register_st_functions, wants_st
-
-            # ST_* scalar surface (SURVEY §2.7) registered ONCE per actor
-            self.con = duckdb.connect()
-            if wants_st(sql):
-                register_st_functions(self.con)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            self.con.register("batch", batch)
-            return self.con.execute(sql).arrow()
+    def fn(batch: pa.Table) -> pa.Table:
+        con = _select_connection(st_functions)
+        con.register("batch", batch)
+        try:
+            return con.execute(sql).arrow()
+        finally:
+            con.unregister("batch")
 
     return ds.map_batches(
-        SelectBatch,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+        fn, batch_format="pyarrow", zero_copy_batch=True,
         batch_size=OPTIONS.batch_size,
-        # autoscaling pool (min 1): a fixed pool equal to the session CPU
-        # count starves the upstream read operator of slots and deadlocks
-        concurrency=concurrency or (1, 4),
     )
 
 

@@ -35,7 +35,7 @@ from ..config import OPTIONS
 from ..geom import GeometryArray, bbox_join, bbox_join_auto, from_wkb
 from ..tiling.cells import CELL_OFFSET, CELL_SHIFT, _SALT_SHIFT, compute_salt_map, replicate_to_cells
 from ..util import iter_blocks
-from .agg import _salt_parts, default_nparts
+from .agg import JOIN_AGGREGATOR_ARGS, _salt_parts, default_nparts
 from .catalog import _subdivided_or_none, subdivide_rows, subdivide_table
 from .geometry_batch import decode_geometry
 from .relation import RelationQuery, evaluate_pairs, pair_distances
@@ -490,6 +490,7 @@ def join_by_location(
         join_type="inner",
         num_partitions=default_nparts(),
         on=("l1_doc_id",),
+        aggregator_ray_remote_args=JOIN_AGGREGATOR_ARGS,
     )
     f2 = _prefixed_schema(ds2.schema().base_schema, "l2_", ordered2)
     out_names = ["l1_" + c for c in ordered1] + [f.name for f in f2]
@@ -748,7 +749,7 @@ def _semi_filter_by_ids(
         out = l1.join(
             keep.map_batches(lambda b: b.select(cols), batch_format="pyarrow"),
             join_type="inner", num_partitions=max(32, n // 1_000_000),
-            on=("l1_doc_id",),
+            on=("l1_doc_id",), aggregator_ray_remote_args=JOIN_AGGREGATOR_ARGS,
         )
         if area_col:
             out = out.map_batches(
@@ -770,6 +771,7 @@ def _semi_filter_by_ids(
     joined = l1.join(
         marked, join_type="left_outer",
         num_partitions=max(32, n // 1_000_000), on=("l1_doc_id",),
+        aggregator_ray_remote_args=JOIN_AGGREGATOR_ARGS,
     )
     return joined.filter(expr="__drop is null").drop_columns(["__drop"])
 
@@ -931,6 +933,7 @@ def join_attributes(
         ds2_nogeo, join_type=jt,
         num_partitions=num_partitions or default_nparts(),
         on=tuple(on), left_suffix="_1", right_suffix="_2",
+        aggregator_ray_remote_args=JOIN_AGGREGATOR_ARGS,
     )
 
 

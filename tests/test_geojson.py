@@ -147,6 +147,51 @@ def test_geojson_synthetic_corpus_matrix(ray_session, tmp_path):
     assert a1 == pytest.approx(a0)
 
 
+def _point_feature(k, props, fid=None):
+    f = {"type": "Feature", "properties": props,
+         "geometry": {"type": "Point", "coordinates": [float(k), 0.0]}}
+    if fid is not None:
+        f["id"] = fid
+    return f
+
+
+def test_geojsonseq_schema_fixed_per_file(ray_session, tmp_path):
+    """Columns, types and the fid decision hold for the whole file, not
+    per parse batch (1024 lines): later lines add a property, carry ids,
+    and fill a property that is NULL in every earlier line."""
+    n, cut = 2600, 1500
+    p = tmp_path / "drift.ndjson"
+    with open(p, "w") as fh:
+        for k in range(n):
+            props = {"a": k, "c": None}
+            if k >= cut:
+                props.update(b=f"s{k}", c=k * 0.5)
+            fh.write(json.dumps(_point_feature(k, props, k if k >= cut else None)))
+            fh.write("\n")
+    out = collect(read_geojson(str(p))).sort_by("a")
+    assert out.column_names == ["fid", "a", "c", "b", "geometry"]
+    assert out.schema.field("c").type == pa.float64()
+    assert out.schema.field("b").type == pa.string()
+    assert out.column("fid").to_pylist() == [None] * cut + list(range(cut, n))
+    assert out.column("b").to_pylist()[cut - 1 : cut + 1] == [None, f"s{cut}"]
+    assert out.column("c").null_count == cut
+
+
+def test_geojson_collection_schema_fixed_across_chunks(ray_session, tmp_path):
+    """A FeatureCollection re-blocks every 65,536 features; a property
+    that is NULL in the whole first chunk keeps the file's type."""
+    n, cut = 65_600, 65_536
+    feats = [
+        _point_feature(k, {"c": k * 0.5 if k >= cut else None}) for k in range(n)
+    ]
+    p = tmp_path / "chunks.geojson"
+    p.write_text(json.dumps({"type": "FeatureCollection", "features": feats}))
+    out = collect(read_geojson(str(p))).sort_by("fid")
+    assert out.schema.field("c").type == pa.float64()
+    assert out.column("fid").to_pylist() == list(range(n))
+    assert out.column("c").null_count == cut
+
+
 def test_layer_info_over_geojson(ray_session, tmp_path):
     """Catalog parity: get_layerinfo works on a GeoJSON layer read
     (reference get_layerinfo on any OGR path) with the crs from the

@@ -1,5 +1,5 @@
 """End-to-end check of the driver contract: every queries() entry runs
-and (when an oracle exists) matches its DuckDB oracle_sql() exactly —
+and matches its DuckDB oracle_sql() exactly —
 the same comparison the driver performs at sf0.01, run here at sf0.001.
 """
 
@@ -71,30 +71,39 @@ def test_all_queries_against_oracles(ray_session, oracle, registry):
     queries, oracles = registry
     failures = []
     for name, fn in queries.items():
+        if name not in oracles:
+            failures.append(f"{name}: no oracle")
+            continue
         res = _to_table(fn(SF))
-        if name in oracles:
-            want = _oracle_table(oracle, oracles[name])
-            gc, gr = _normalize(res)
-            wc, wr = _normalize(want)
-            if len(gr) == 0 and len(wr) == 0:
-                continue
-            if gc != wc:
-                failures.append(f"{name}: columns {gc} != {wc}")
-            elif _typed(gr) != _typed(wr):
-                tg, tw = _typed(gr), _typed(wr)
-                diff = next(
-                    (i for i, (a, b) in enumerate(zip(tg, tw)) if a != b),
-                    min(len(tg), len(tw)),
-                )
-                failures.append(
-                    f"{name}: rows {len(gr)} vs {len(wr)}; first diff at "
-                    f"{diff}: {tg[diff] if diff < len(tg) else None} != "
-                    f"{tw[diff] if diff < len(tw) else None}"
-                )
-        else:
-            if res.num_rows < 0:  # pragma: no cover
-                failures.append(f"{name}: negative rows?")
+        want = _oracle_table(oracle, oracles[name])
+        gc, gr = _normalize(res)
+        wc, wr = _normalize(want)
+        if len(gr) == 0 and len(wr) == 0:
+            continue
+        if gc != wc:
+            failures.append(f"{name}: columns {gc} != {wc}")
+        elif _typed(gr) != _typed(wr):
+            tg, tw = _typed(gr), _typed(wr)
+            diff = next(
+                (i for i, (a, b) in enumerate(zip(tg, tw)) if a != b),
+                min(len(tg), len(tw)),
+            )
+            failures.append(
+                f"{name}: rows {len(gr)} vs {len(wr)}; first diff at "
+                f"{diff}: {tg[diff] if diff < len(tg) else None} != "
+                f"{tw[diff] if diff < len(tw) else None}"
+            )
     assert not failures, "\n".join(failures)
+
+
+def test_every_row_has_an_exact_oracle():
+    """No rows-only entry and no orphaned oracle: every registry row is
+    compared exactly, in pytest and in tools/gatesim.py."""
+    from geofileops_ray.pipelines.queries import ORACLES, QUERIES
+
+    assert set(QUERIES) == set(ORACLES), (
+        sorted(set(QUERIES) - set(ORACLES)), sorted(set(ORACLES) - set(QUERIES))
+    )
 
 
 def test_driver_window_covers_families_with_oracles():
@@ -108,36 +117,50 @@ def test_driver_window_covers_families_with_oracles():
     missing = [k for k in window if k not in ORACLES]
     assert missing == [], f"driver-window rows without oracle: {missing}"
     required = {
-        # two-layer joins
-        "sjoin_intersects", "sjoin_relate_mask_tri", "join_attributes",
+        # two-layer joins (incl. the forced cell path and the
+        # span-sequence invariant carried through export_by_location)
+        "sjoin_intersects", "sjoin_intersects_shuffle", "sjoin_within",
+        "sjoin_left", "sjoin_relate_mask_tri", "join_attributes",
         "join_nearest_k2", "export_by_location_semi",
-        "export_by_location_anti_tri",
+        "export_by_location_anti_tri", "export_by_distance",
+        "export_by_bounds_window", "spans_roundtrip",
         # overlays (incl. the heterogeneous line+polygon candidate mix)
         "intersection_pairs", "intersection_tri", "intersection_lines",
-        "pack_sequences_512", "intersection_complexpoly", "clip_areas",
+        "intersection_complexpoly", "clip_areas", "clip_by_geometry_window",
         "difference_areas", "difference_mixed",
         "symmetric_difference_areas",
         "union_overlay_areas", "identity_areas",
         "select_two_layers", "union_full_self_invariants",
         "delete_duplicate_geometries", "concat_layers",
-        # dissolve
+        # dissolve, and the composed flagship
         "dissolve_gewasgroep", "dissolve_median_json",
-        "dissolve_within_distance_bars",
-        # single-layer
-        "buffer_area", "simplify_counts",
-        "makevalid_bowties", "apply_scale2",
+        "dissolve_within_distance_bars", "flagship_agg",
+        # single-layer and the user-SQL surface
+        "buffer_area", "convexhull_area", "simplify_counts",
+        "makevalid_bowties", "isvalid_bowties", "apply_scale2",
         "update_column_area", "warp_affine", "reproject_3857",
-        # round-4 promotions: bloom membership, k-means assignment, BM25
-        "bloom_blocklist", "kmeans_assign_8", "bm25_spark_table_join",
+        "select_st_functions", "select_wkt_roundtrip",
         # tiling
         "tile_assignments_16", "zonal_rasterize_16", "vector_tile_cut_16",
-        "polygonize_mask_16",
-        # spans / media (incl. the r5 real-decode promotion)
-        "spans_reassemble", "media_ref_fanout", "media_features_real",
-        # text / dedup / similarity / events (simhash32 moved out of the
-        # window for the media_features_real slot; still in the registry)
-        "language_id", "exact_dedup", "minhash_bands",
-        "ngram_jaccard", "ngram_decontaminate", "embedding_topk10",
-        "sessionize_30m", "asof_click_view", "value_percentiles_per_type",
+        "polygonize_mask_16", "quadkey_cover_12", "hex_bin_points",
+        "layer_digest_parcels",
+        # format codecs
+        "geofile_roundtrip",
     }
     assert required <= set(window), sorted(required - set(window))
+
+
+def test_synth_hash_exact_beyond_int64_wrap():
+    """The synth layers' _hash (mirrored by every oracle CTE) must equal
+    doc_id*MULT mod 2^32 at ANY doc_id — a plain int64 product wraps
+    past doc_id ≈ 3.47e9 (the 100TB synth scale)."""
+    import numpy as np
+
+    from geofileops_ray.io.synth import _MOD, _MULT, _hash
+
+    ids = np.array(
+        [0, 1, 123456, 2**31, 3_470_000_000, 5_000_000_000, 10**12, 2**62],
+        dtype=np.int64,
+    )
+    expect = np.array([(int(v) * _MULT) % _MOD for v in ids], dtype=np.int64)
+    assert (_hash(ids) == expect).all()

@@ -1,12 +1,9 @@
 """Unit tests for the hex cell index (tiling/hexgrid.py) and the
-interleaved-span operators (textops/spans.py). The driver-level oracle
-rows (hex_bin_points / spans_explode / spans_reassemble /
-media_ref_fanout) are covered by test_registry; these pin the kernel
-math and the operators not exercised there (filter_spans, hex_ring)."""
+line-line overlap kernel. The registry oracle row hex_bin_points is
+covered by test_registry; these pin the kernel math and hex_ring."""
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
 
 def test_hex_assign_is_nearest_center_voronoi():
@@ -45,86 +42,6 @@ def test_hex_center_roundtrip_and_rings():
         ring = hex_ring(4, 6, k)
         assert len(ring) == 1 + 3 * k * (k + 1)
         assert (4, 6) in ring
-
-
-def _spans_table() -> pa.Table:
-    from geofileops_ray.io.synth import synth_docspans_batch
-
-    docs = pa.table(
-        {
-            "doc_id": pa.array(np.arange(40), pa.int64()),
-            "text": ["word%02d_abcdefghijklmnop" % i for i in range(40)],
-            "lang": ["en"] * 40,
-        }
-    )
-    return synth_docspans_batch(docs)
-
-
-def test_filter_spans_preserves_order_and_schema(ray_session):
-    import ray.data
-
-    from geofileops_ray.textops.spans import explode_spans, filter_spans
-
-    src = _spans_table()
-    ds = ray.data.from_arrow(src)
-    out = pa.Table.from_pylist(filter_spans(ds, "media").take_all())
-    assert out.column_names == ["doc_id", "spans"]
-    rows = {r["doc_id"]: r["spans"] for r in out.to_pylist()}
-    for r in src.to_pylist():
-        expect = [s for s in r["spans"] if s["kind"] == "media"]
-        assert rows[r["doc_id"]] == expect  # order + all fields preserved
-    # exploding the filtered set yields only media spans, still in order
-    ex = pa.Table.from_pylist(
-        explode_spans(ray.data.from_arrow(out)).take_all()
-    ).to_pylist()
-    for doc_id in rows:
-        offs = [e["span_off"] for e in ex if e["doc_id"] == doc_id]
-        assert offs == sorted(offs)
-        assert all(
-            e["kind"] == "media" for e in ex if e["doc_id"] == doc_id
-        )
-
-
-def test_reassemble_is_order_sensitive(ray_session):
-    import ray.data
-
-    from geofileops_ray.textops.spans import reassemble_text
-
-    src = _spans_table()
-    out = pa.Table.from_pylist(
-        reassemble_text(ray.data.from_arrow(src)).take_all()
-    ).to_pylist()
-    got = {r["doc_id"]: r for r in out}
-    for r in src.to_pylist():
-        text_spans = sorted(
-            (s for s in r["spans"] if s["kind"] == "text"),
-            key=lambda s: s["offset"],
-        )
-        joined = "".join(s["text"] for s in text_spans)
-        assert got[r["doc_id"]]["text_joined"] == joined
-        assert got[r["doc_id"]]["n_text_spans"] == len(text_spans)
-
-
-def test_media_fanout_counts(ray_session):
-    import ray.data
-
-    from geofileops_ray.textops.spans import media_ref_fanout
-
-    src = _spans_table()
-    out = pa.Table.from_pylist(
-        media_ref_fanout(ray.data.from_arrow(src)).take_all()
-    ).to_pylist()
-    expect: dict[str, list] = {}
-    for r in src.to_pylist():
-        for s in r["spans"]:
-            if s["kind"] == "media":
-                expect.setdefault(s["media_ref"], []).append(r["doc_id"])
-    assert {o["media_ref"]: o["n_spans"] for o in out} == {
-        k: len(v) for k, v in expect.items()
-    }
-    assert {o["media_ref"]: o["n_docs"] for o in out} == {
-        k: len(set(v)) for k, v in expect.items()
-    }
 
 
 def test_line_line_overlap_kernel():
@@ -189,78 +106,3 @@ def test_hex_ring_matches_voronoi_adjacency():
                 seen.add(cell)
                 break
     assert seen == ring1
-
-
-def test_span_dedup_first_occurrence_semantics(ray_session):
-    """Hand-built corpus: cross-doc and within-doc duplicate text spans
-    collapse to the single smallest-(doc, idx) occurrence; media spans
-    and empty-text spans never dedup; surviving order is preserved."""
-    import ray.data
-
-    from geofileops_ray.textops.spans import span_dedup
-
-    def mk(spans):
-        return [
-            {"kind": k, "text": t, "media_ref": m, "offset": i}
-            for i, (k, t, m) in enumerate(spans)
-        ]
-
-    docs = pa.table(
-        {
-            "doc_id": pa.array([1, 2, 3], pa.int64()),
-            "spans": pa.array(
-                [
-                    mk([("text", "dup", ""), ("media", "", "media://1"),
-                        ("text", "dup", ""), ("text", "", "")]),
-                    mk([("text", "dup", ""), ("text", "unique2", ""),
-                        ("media", "", "media://1")]),
-                    mk([("text", "", ""), ("text", "unique3", "")]),
-                ]
-            ),
-        }
-    )
-    got = {
-        r["doc_id"]: r["spans"]
-        for r in span_dedup(ray.data.from_arrow(docs)).take_all()
-    }
-    # doc1 keeps the FIRST "dup" (idx 0), the media span, the empty span
-    assert [(s["kind"], s["text"], s["offset"]) for s in got[1]] == [
-        ("text", "dup", 0), ("media", "", 1), ("text", "", 3)
-    ]
-    # doc2 loses its "dup" (doc1 idx0 wins), keeps unique2 + media
-    assert [(s["kind"], s["text"]) for s in got[2]] == [
-        ("text", "unique2"), ("media", "")
-    ]
-    # doc3 untouched (empty-text spans never dedup against each other)
-    assert [(s["kind"], s["text"]) for s in got[3]] == [
-        ("text", ""), ("text", "unique3")
-    ]
-
-
-def test_span_dedup_huge_doc_ids(ray_session):
-    """doc ids beyond 2^31 (the 10^12-doc design point) must not wrap
-    the (doc, idx) membership key — regression for the rank-coded
-    packing."""
-    import ray.data
-
-    from geofileops_ray.textops.spans import span_dedup
-
-    big = 3_470_000_000_007  # > 2^31 and > 2^32
-    def mk(spans):
-        return [
-            {"kind": "text", "text": t, "media_ref": "", "offset": i}
-            for i, t in enumerate(spans)
-        ]
-
-    docs = pa.table(
-        {
-            "doc_id": pa.array([big, big + 1], pa.int64()),
-            "spans": pa.array([mk(["dup", "a"]), mk(["dup", "b"])]),
-        }
-    )
-    got = {
-        r["doc_id"]: [s["text"] for s in r["spans"]]
-        for r in span_dedup(ray.data.from_arrow(docs)).take_all()
-    }
-    assert got[big] == ["dup", "a"]
-    assert got[big + 1] == ["b"]

@@ -59,7 +59,7 @@ def test_st_udfs_match_kernels_and_handle_nulls():
 
 def test_select_stage_with_st_functions(ray_session):
     """The `select` Ray stage exposes the ST surface (registered once
-    per actor in __init__); rect parcels give closed-form answers."""
+    per worker process); rect parcels give closed-form answers."""
     from geofileops_ray.io.synth import parcels_dataset
     from geofileops_ray.stages import single_layer as sl
 
@@ -250,8 +250,8 @@ def test_st_param_null_semantics():
 
 def test_select_two_layers_with_st_functions(ray_session):
     """select_two_layers' per-cell connection registers ST functions
-    when the SQL mentions them (lazy path, distinct from the select
-    actor's eager registration)."""
+    when the SQL mentions them (a fresh connection per cell, distinct
+    from select's per-process connection)."""
     from geofileops_ray.io.synth import parcels_dataset, zones_dataset
     from geofileops_ray.stages.compound import select_two_layers
 

@@ -8,7 +8,7 @@ Usage:
     python tools/gatesim.py [sf_dir] [--cpus N] [--window 50]
 
 Prints one line per query (ok/FAIL/rows-only) and a summary; exit code
-1 if any row fails.
+1 if any row fails or has no oracle (rows-only).
 """
 
 from __future__ import annotations
@@ -98,6 +98,10 @@ def main() -> int:
     n_ok = n_rowsonly = 0
     failures = []
     for name in names:
+        if name not in oracles:
+            n_rowsonly += 1
+            print(f"rows-only {name}: no oracle")
+            continue
         t0 = time.perf_counter()
         try:
             res = _to_table(queries[name](sf))
@@ -106,10 +110,6 @@ def main() -> int:
             print(f"FAIL {name}: {type(ex).__name__}: {ex}")
             continue
         dt = time.perf_counter() - t0
-        if name not in oracles:
-            n_rowsonly += 1
-            print(f"rows-only {name}: {res.num_rows} rows  [{dt:.2f}s]")
-            continue
         want = con.execute(oracles[name]).arrow()
         gc, gr = _normalize(res)
         wc, wr = _normalize(want)
@@ -136,7 +136,7 @@ def main() -> int:
     print(f"\n{n_ok} oracle-exact, {n_rowsonly} rows-only, "
           f"{len(failures)} FAILED of {len(names)}")
     ray.shutdown()
-    return 1 if failures else 0
+    return 1 if failures or n_rowsonly else 0
 
 
 if __name__ == "__main__":
