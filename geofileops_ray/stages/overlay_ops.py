@@ -41,7 +41,6 @@ from ..geom.overlay import (
     union_all_parts,
 )
 from ..geom.predicates import points_in_polygon
-from .catalog import _max_coords_estimate
 from .spatial_join import (
     _attr_cols,
     _broadcast_side,
@@ -885,6 +884,32 @@ def _resolve_pending_batched(
     )
 
 
+def _straddler_tail(
+    paired: ray.data.Dataset,
+    key_cols: list[str],
+    strip,
+    op: str,
+    keep_no_candidate_rows: bool,
+) -> ray.data.Dataset:
+    """The cell path's tail after the co-group: rows the cells resolved
+    (``__done``) pass through ``strip``; straddler rows are gathered per
+    ``key_cols`` and resolved by ``_resolve_pending_batched``, then
+    stripped too. One materialization, so the two filter branches do not
+    re-execute the co-group; its size is about output rows + straddler
+    pairs (spillable blocks). Fully-erased rows are dropped inside the
+    resolver (the 'DIFF_EMPTY' sentinel analogue,
+    _geoops_sql.py:1227-1270)."""
+    paired = paired.materialize()
+    done_ds = paired.filter(expr="__done == True").map_batches(
+        strip, batch_format="pyarrow"
+    )
+    pending = paired.filter(expr="__done == False")
+    resolved = _resolve_pending_batched(
+        pending, key_cols, op, keep_no_candidate_rows
+    ).map_batches(strip, batch_format="pyarrow")
+    return done_ds.union(resolved)
+
+
 def _per_row_overlay(
     ds1: ray.data.Dataset,
     ds2: ray.data.Dataset,
@@ -940,7 +965,10 @@ def _per_row_overlay(
         return pa.concat_tables([done_part, pend])
 
     def strip(batch: pa.Table) -> pa.Table:
-        return batch.drop_columns(["__g1", "__cand", "__done"])
+        # resolved straddler rows come without the scaffold columns
+        return batch.drop_columns(
+            [c for c in ("__g1", "__cand", "__done") if c in batch.column_names]
+        )
 
     c1 = list(dict.fromkeys(["doc_id", *cols1]))
     f1g = _prefixed_schema(
@@ -961,23 +989,13 @@ def _per_row_overlay(
             out = _filter_slivers(out, sliver_tolerance)
         return out
 
-    # one materialization so the two filter branches don't re-execute the
-    # cogroup; size ≈ output rows + straddler pairs (spillable blocks)
     paired = cell_cogroup(
         ds1, ds2, group_fn, cols1, ["doc_id"], size=size, salt=salt,
         broadcast=False, subdivide2=sub_limit,
-    ).materialize()
-
-    done_ds = paired.filter(expr="__done == True").map_batches(
-        strip, batch_format="pyarrow"
     )
-    pending = paired.filter(expr="__done == False")
-    # fully-erased rows are dropped inside the batched resolver (the
-    # 'DIFF_EMPTY' sentinel analogue, _geoops_sql.py:1227-1270)
-    resolved = _resolve_pending_batched(
-        pending, ["l1_doc_id"], op, keep_no_candidate_rows
+    out = _straddler_tail(
+        paired, ["l1_doc_id"], strip, op, keep_no_candidate_rows
     )
-    out = done_ds.union(resolved)
     if sliver_tolerance:
         out = _filter_slivers(out, sliver_tolerance)
     return out
@@ -1032,17 +1050,6 @@ def difference(
     )
 
 
-def _with_null_cols(ds: ray.data.Dataset, fields: list[pa.Field],
-                    order: list[str]) -> ray.data.Dataset:
-    def fn(batch: pa.Table) -> pa.Table:
-        for f in fields:
-            if f.name not in batch.column_names:
-                batch = batch.append_column(f.name, pa.nulls(len(batch), f.type))
-        return batch.select(order)
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
 def _fused_overlay(
     ds1: ray.data.Dataset,
     ds2: ray.data.Dataset,
@@ -1052,31 +1059,29 @@ def _fused_overlay(
     want_inter: bool,
     want_d21: bool,
 ) -> ray.data.Dataset:
-    """Single-cogroup engine behind union / identity / symmetric_difference.
+    """The one engine behind identity, symmetric_difference and union.
 
-    The composed definitions (union = intersection ⊎ diff(a,b) ⊎
-    diff(b,a)) run THREE full cell co-shuffles, each re-replicating,
-    re-decoding and re-bbox-joining both layers. This engine computes all
-    requested parts inside ONE cell group from ONE shared bbox_join +
-    ownership dedup (one replication of each layer, one WKB decode per
-    group, shared memoized rect/convex probes), emitting a tagged union:
+    Every requested part comes out of ONE co-group from ONE shared
+    bbox_join + ownership dedup (one replication of each layer, one WKB
+    decode per group, shared memoized rect/convex probes), as a tagged
+    union:
 
     * ``__side=0`` — pairwise intersections (done rows, both attr sets);
     * ``__side=1`` — difference(a,b): single-cell rows resolved locally,
       straddlers pending for the per-doc gather;
     * ``__side=2`` — difference(b,a), roles swapped.
 
-    One ``groupby(__side, __key)`` then resolves all pending straddlers
-    of both directions together. Every row carries the full unified
-    l1_*/l2_* schema (other side null), so the output is a single stream
-    in the reference's column order — no dataset unions at all.
+    On the cell path one ``groupby(__side, __key)`` then resolves the
+    pending straddlers of both directions together. Every row carries the
+    full l1_*/l2_* schema (other side null), in the reference's column
+    order. When layer2 fits the broadcast budget, one no-shuffle pass
+    computes intersection + difference(a,b) with no pending rows, and
+    difference(b,a) is a second broadcast pass with the roles swapped.
 
-    When layer2 fits the broadcast budget the engine instead runs ONE
-    no-shuffle broadcast pass computing intersection + difference(a,b)
-    fully locally (zero pending rows — each layer1 batch sees all of
-    layer2), plus, if requested, a second broadcast pass for
-    difference(b,a) with the roles swapped (2 embarrassingly-parallel
-    passes instead of the composed path's 3)."""
+    The co-group does not subdivide: on 12k-coordinate circles × parcels
+    it gives the subdividing intersection ⊎ difference composition's
+    pairs and areas (1e-6 relative, tests/test_subdivide_sliver.py) in
+    less time on both paths."""
     c1 = list(dict.fromkeys(["doc_id", *cols1]))
     c2 = list(dict.fromkeys(["doc_id", *cols2]))
     f1 = _prefixed_schema(ds1.schema().base_schema, "l1_", c1)
@@ -1178,26 +1183,10 @@ def _fused_overlay(
 
     paired = cell_cogroup(
         ds1, ds2, group_fn, c1, c2, size=size, broadcast=False
-    ).materialize()
-
-    done_ds = paired.filter(expr="__done == True").map_batches(
-        strip, batch_format="pyarrow"
     )
-    pending = paired.filter(expr="__done == False")
-    resolved = _resolve_pending_batched(
-        pending, ["__side", "__key"], "difference", keep_no_candidate_rows=True
-    ).map_batches(strip, batch_format="pyarrow")
-    return done_ds.union(resolved)
-
-
-def _fused_eligible(ds1: ray.data.Dataset, ds2: ray.data.Dataset) -> bool:
-    """The fused engine skips the auto-subdivide machinery, so route
-    layers with complex geometries (difference would subdivide them)
-    through the composed path instead; the probe is the same cheap
-    byte-length scan the composed ops run anyway."""
-    return (
-        _max_coords_estimate(ds1) <= _SUBDIVIDE_DIFFERENCE
-        and _max_coords_estimate(ds2) <= _SUBDIVIDE_DIFFERENCE
+    return _straddler_tail(
+        paired, ["__side", "__key"], strip, "difference",
+        keep_no_candidate_rows=True,
     )
 
 
@@ -1212,28 +1201,10 @@ def identity(
     where_post: str | None = None,
 ) -> ray.data.Dataset:
     """intersection(a,b) ⊎ difference(a,b) (geoops.identity/split)."""
-    cols1 = list(cols1 or _attr_cols(ds1))
-    cols2 = list(cols2 or _attr_cols(ds2))
-    if _fused_eligible(ds1, ds2):
-        out = _fused_overlay(
-            ds1, ds2, cols1, cols2, size or OPTIONS.cell_size,
-            want_inter=True, want_d21=False,
-        )
-        return _apply_geom_post(
-            out, gridsize=gridsize, explodecollections=explodecollections,
-            where_post=where_post,
-        )
-    inter = intersection(ds1, ds2, cols1, cols2, size=size)
-    diff = difference(ds1, ds2, cols1, size=size)
-    f2 = _prefixed_schema(
-        ds2.schema().base_schema, "l2_", list(dict.fromkeys(["doc_id", *cols2]))
+    out = _fused_overlay(
+        ds1, ds2, list(cols1 or _attr_cols(ds1)), list(cols2 or _attr_cols(ds2)),
+        size or OPTIONS.cell_size, want_inter=True, want_d21=False,
     )
-    order = (
-        ["l1_" + c for c in dict.fromkeys(["doc_id", *cols1])]
-        + [f.name for f in f2]
-        + [_GEOM]
-    )
-    out = _with_null_cols(inter, [], order).union(_with_null_cols(diff, f2, order))
     return _apply_geom_post(
         out, gridsize=gridsize, explodecollections=explodecollections,
         where_post=where_post,
@@ -1251,36 +1222,10 @@ def symmetric_difference(
     where_post: str | None = None,
 ) -> ray.data.Dataset:
     """difference(a,b) ⊎ difference(b,a), other-side columns null."""
-    cols1 = list(cols1 or _attr_cols(ds1))
-    cols2 = list(cols2 or _attr_cols(ds2))
-    if _fused_eligible(ds1, ds2):
-        out = _fused_overlay(
-            ds1, ds2, cols1, cols2, size or OPTIONS.cell_size,
-            want_inter=False, want_d21=True,
-        )
-        return _apply_geom_post(
-            out, gridsize=gridsize, explodecollections=explodecollections,
-            where_post=where_post,
-        )
-    d12 = difference(ds1, ds2, cols1, size=size)
-    d21 = difference(ds2, ds1, cols2, size=size)
-
-    # d21 columns are l1_-prefixed from its own perspective → remap to l2_
-    def remap(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(
-            [c.replace("l1_", "l2_", 1) if c.startswith("l1_") else c
-             for c in batch.column_names]
-        )
-
-    d21 = d21.map_batches(remap, batch_format="pyarrow")
-    f1 = _prefixed_schema(
-        ds1.schema().base_schema, "l1_", list(dict.fromkeys(["doc_id", *cols1]))
+    out = _fused_overlay(
+        ds1, ds2, list(cols1 or _attr_cols(ds1)), list(cols2 or _attr_cols(ds2)),
+        size or OPTIONS.cell_size, want_inter=False, want_d21=True,
     )
-    f2 = _prefixed_schema(
-        ds2.schema().base_schema, "l2_", list(dict.fromkeys(["doc_id", *cols2]))
-    )
-    order = [f.name for f in f1] + [f.name for f in f2] + [_GEOM]
-    out = _with_null_cols(d12, f2, order).union(_with_null_cols(d21, f1, order))
     return _apply_geom_post(
         out, gridsize=gridsize, explodecollections=explodecollections,
         where_post=where_post,
@@ -1297,30 +1242,14 @@ def union(
     explodecollections: bool = False,
     where_post: str | None = None,
 ) -> ray.data.Dataset:
-    """intersection ⊎ difference(a,b) ⊎ difference(b,a) — the reference's
-    5-step union composition (_geoops_sql.py:3136-3291), here ONE fused
-    cell cogroup for simple-geometry layers."""
-    cols1 = list(cols1 or _attr_cols(ds1))
-    cols2 = list(cols2 or _attr_cols(ds2))
-    if _fused_eligible(ds1, ds2):
-        out = _fused_overlay(
-            ds1, ds2, cols1, cols2, size or OPTIONS.cell_size,
-            want_inter=True, want_d21=True,
-        )
-        return _apply_geom_post(
-            out, gridsize=gridsize, explodecollections=explodecollections,
-            where_post=where_post,
-        )
-    sym = symmetric_difference(ds1, ds2, cols1, cols2, size=size)
-    inter = intersection(ds1, ds2, cols1, cols2, size=size)
-    f1 = _prefixed_schema(
-        ds1.schema().base_schema, "l1_", list(dict.fromkeys(["doc_id", *cols1]))
+    """intersection ⊎ difference(a,b) ⊎ difference(b,a), the reference's
+    5-step union composition (_geoops_sql.py:3136-3291), computed by the
+    fused engine: one broadcast pass per direction, or one cell co-group
+    plus one straddler gather."""
+    out = _fused_overlay(
+        ds1, ds2, list(cols1 or _attr_cols(ds1)), list(cols2 or _attr_cols(ds2)),
+        size or OPTIONS.cell_size, want_inter=True, want_d21=True,
     )
-    f2 = _prefixed_schema(
-        ds2.schema().base_schema, "l2_", list(dict.fromkeys(["doc_id", *cols2]))
-    )
-    order = [f.name for f in f1] + [f.name for f in f2] + [_GEOM]
-    out = _with_null_cols(inter, [], order).union(sym)
     return _apply_geom_post(
         out, gridsize=gridsize, explodecollections=explodecollections,
         where_post=where_post,

@@ -166,30 +166,6 @@ def test_read_layer_lance_bbox_pushdown(tmp_path):
             )
 
 
-def test_pack_sequences_null_text_and_review_fixes(ray_session, oracle):
-    """Round-4 review findings: NULL text must cost 0 tokens (not
-    poison every later placement via NaN→int64 garbage), matching the
-    COALESCE'd oracle."""
-    import ray.data
-
-    from geofileops_ray.textops.packing import pack_sequences, pack_sequences_sql
-
-    t = pa.table(
-        {
-            "doc_id": pa.array([1, 2, 3], pa.int64()),
-            "text": pa.array(["a b", None, "c d e"], pa.string()),
-        }
-    )
-    got = pa.Table.from_pylist(
-        pack_sequences(ray.data.from_arrow(t).repartition(2), budget=4).take_all()
-    ).sort_by("doc_id")
-    want = oracle.execute(pack_sequences_sql(4, table="t")).arrow()
-    assert got.to_pylist() == want.to_pylist()
-    rows = {r["doc_id"]: r for r in got.to_pylist()}
-    assert rows[2]["n_tokens"] == 0
-    assert rows[3]["seq_id"] == 0 and rows[3]["seq_offset"] == 2
-
-
 def test_layerstyles_single_file_store_no_phantom_layer(tmp_path):
     """A single-file store's style sidecar (<store>.parquet.styles.parquet)
     must not surface as a layer or break get_only_layer."""

@@ -88,3 +88,26 @@ def test_materialized_line_dissolve_pins_nothing(ray_session, executions):
     assert executions == []
     assert sum(r["nb_rows"] for r in out.take_all()) == lines.count() > 0
     assert not [p for p in executions if "source_columns" in p], executions
+
+
+@pytest.mark.parametrize("path", ["broadcast", "cell"])
+@pytest.mark.parametrize("op", ["identity", "symmetric_difference", "union"])
+def test_fused_overlay_executions(ray_session, executions, monkeypatch, op, path):
+    """The fused overlays plan with no probe: one execution on the
+    broadcast path, the co-group materialization plus the straddler
+    gather on the cell path."""
+    from geofileops_ray.config import OPTIONS
+    from geofileops_ray.io import synth
+    from geofileops_ray.stages import overlay_ops
+
+    if path == "cell":
+        monkeypatch.setattr(OPTIONS, "broadcast_bytes", 0)
+    parcels = synth.parcels_dataset(SF).materialize()
+    zones = synth.zones_dataset(SF).materialize()
+    executions.clear()
+    out = getattr(overlay_ops, op)(parcels, zones).materialize()
+    assert out.count() > 0
+    assert len(executions) == (1 if path == "broadcast" else 2), executions
+    assert not [
+        p for p in executions if "Aggregate" in p or "LimitOperator" in p
+    ], executions

@@ -1,95 +1,9 @@
-"""Property-based tests (hypothesis) for the sketch kernels: bloom
-positions/bit algebra and Misra-Gries compression — pure-numpy, no Ray
-(the Dataset plumbing is covered by tests/test_sketches.py)."""
-
-import collections
+"""Property-based test (hypothesis) for the WKT codec: pure numpy, no
+Ray."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from geofileops_ray.textops.sketches import _bloom_positions, _mg_compress
-
-keys = st.lists(
-    st.text(alphabet="abcdefgh0123", min_size=1, max_size=8),
-    min_size=1,
-    max_size=40,
-)
-
-
-def _bits_from(vals, m, h):
-    arr = np.zeros((m + 7) // 8, dtype=np.uint8)
-    if vals:
-        pos = _bloom_positions(sorted(set(vals)), m, h).ravel()
-        np.bitwise_or.at(arr, pos >> 3, (1 << (pos & 7)).astype(np.uint8))
-    return arr
-
-
-def _member(bits, vals, m, h):
-    if not vals:
-        return np.zeros(0, dtype=bool)
-    pos = _bloom_positions(vals, m, h)
-    return ((bits[pos >> 3] & (1 << (pos & 7)).astype(np.uint8)) != 0).all(
-        axis=1
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(build=keys, probe=keys, split=st.integers(0, 40))
-def test_bloom_no_false_negatives_and_merge(build, probe, split):
-    m, h = 512, 3
-    whole = _bits_from(build, m, h)
-    # OR-merge of an arbitrary split equals the whole build (the
-    # partition-invariance the per-block partials rely on)
-    cut = min(split, len(build))
-    merged = _bits_from(build[:cut], m, h) | _bits_from(build[cut:], m, h)
-    assert (whole == merged).all()
-    # every built key is a member — no false negatives, ever
-    assert _member(whole, build, m, h).all()
-    # a definite miss is definitely not in the build set
-    hits = _member(whole, probe, m, h)
-    bset = set(build)
-    for v, hit in zip(probe, hits):
-        if not hit:
-            assert v not in bset
-
-
-streams = st.lists(
-    st.sampled_from([f"v{i}" for i in range(30)]), min_size=1, max_size=400
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(stream=streams, cap=st.integers(2, 16), nchunks=st.integers(1, 7))
-def test_misra_gries_bounds_under_any_split(stream, cap, nchunks):
-    truth = collections.Counter(stream)
-    n = len(stream)
-    # per-chunk MG partials (the map_batches stage), then the driver
-    # merge + final compression — the approx_topk_values reduction
-    chunks = np.array_split(np.asarray(stream, dtype=object), nchunks)
-    agg: dict = {}
-    for ch in chunks:
-        c = collections.Counter(ch.tolist())
-        vals = np.asarray(list(c.keys()), dtype=object)
-        cnts = np.asarray(list(c.values()), dtype=np.int64)
-        vals, cnts = _mg_compress(vals, cnts, cap)
-        for v, k in zip(vals, cnts):
-            agg[v] = agg.get(v, 0) + int(k)
-    vals = np.asarray(list(agg.keys()), dtype=object)
-    cnts = np.asarray(list(agg.values()), dtype=np.int64)
-    vals, cnts = _mg_compress(vals, cnts, cap)
-    est = dict(zip(vals.tolist(), cnts.tolist()))
-    bound = n / (cap + 1) * (nchunks + 1)  # per-compression subtraction, summed
-    for v, true in truth.items():
-        e = est.get(v, 0)
-        assert e <= true  # MG never overcounts
-        assert true - e <= bound + 1e-9
-    # saturated regime: distinct <= cap with a single chunk is exact
-    if len(truth) <= cap and nchunks == 1:
-        assert est == dict(truth)
-
-
-# ---- WKT round-trip property (pure codec, no Ray) ----------------------
 
 coord = st.integers(-50, 50).map(float)
 pt = st.tuples(coord, coord)

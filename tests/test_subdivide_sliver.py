@@ -38,7 +38,7 @@ def complex_layer(ray_session):
 
 def test_export_by_location_subdivides(ray_session, complex_layer):
     from geofileops_ray.io.synth import parcels_dataset
-    from geofileops_ray.stages.overlay_ops import _max_coords_estimate
+    from geofileops_ray.stages.catalog import _max_coords_estimate
     from geofileops_ray.stages.spatial_join import export_by_location
 
     assert _max_coords_estimate(complex_layer) > 2000
@@ -108,7 +108,7 @@ def _pair_areas(ds):
     from geofileops_ray.geom import from_wkb
     from geofileops_ray.geom.measure import area
 
-    rows = ds.take_all()
+    rows = ds.to_pylist() if isinstance(ds, pa.Table) else ds.take_all()
     ga = from_wkb([r["geometry"] for r in rows])
     out = {}
     for r, a in zip(rows, area(ga)):
@@ -118,8 +118,12 @@ def _pair_areas(ds):
     return out
 
 
+def _null_safe(key):
+    return tuple((v is None, v or 0) for v in key)
+
+
 def _assert_same_areas(got, want):
-    assert sorted(got) == sorted(want)
+    assert sorted(got, key=_null_safe) == sorted(want, key=_null_safe)
     for k, a in want.items():
         assert abs(got[k] - a) <= 1e-6 * max(abs(a), 1.0), (k, got[k], a)
 
@@ -163,6 +167,28 @@ def test_difference_and_export_subdivided_on_both_paths(
     got_ids = kept()
     monkeypatch.setattr(overlay_ops, "_SUBDIVIDE_DIFFERENCE", 10**9)
     assert got_ids == kept() and len(got_ids) > 0
+
+
+@pytest.mark.parametrize("op", ["identity", "symmetric_difference", "union"])
+def test_fused_overlay_complex_matches_composed(
+    ray_session, complex_layer, overlay_path, op
+):
+    """The fused identity / symmetric_difference / union does not
+    subdivide; the composition of intersection and difference does. On
+    geometries over the subdivide limit both give the same (l1, l2) rows
+    and areas, in both orientations."""
+    from conftest import composed_overlay
+
+    from geofileops_ray.io.synth import parcels_dataset
+    from geofileops_ray.stages import overlay_ops
+
+    p = parcels_dataset(SF_DIR).materialize()
+    fn = getattr(overlay_ops, op)
+    for a, b in ((p, complex_layer), (complex_layer, p)):
+        got = _pair_areas(fn(a, b, cols1=[], cols2=[]))
+        want = _pair_areas(composed_overlay(op, a, b, [], []))
+        assert len(want) > 0
+        _assert_same_areas(got, want)
 
 
 def test_subdivide_table_matches_batch_kernel(ray_session):

@@ -185,44 +185,34 @@ def test_union_is_composition(ray_session, oracle, join_path):
     assert all(r["geometry"] is not None for r in res)
 
 
-def test_fused_overlay_matches_composed(ray_session, join_path, monkeypatch):
-    """The fused single-cogroup engine behind union / identity /
-    symmetric_difference must agree geometrically (same rows, same
-    attrs, same areas) with the composed 3-pass definition on both
-    execution paths (broadcast and forced cell co-shuffle)."""
-    import geofileops_ray.stages.overlay_ops as oo
+def test_fused_overlay_matches_composed(ray_session, join_path):
+    """identity, symmetric_difference and union (one fused co-group)
+    agree with their composition from the public intersection and
+    difference: same columns in the same order, same rows, same attrs,
+    same areas, on both execution paths (broadcast and forced cell
+    co-shuffle)."""
+    from conftest import composed_overlay
+
     from geofileops_ray.stages.overlay_ops import (
         identity,
         symmetric_difference,
     )
+    from geofileops_ray.util import collect
 
-    def canon(ds):
-        rows = ds.take_all()
-        ga = from_wkb([r["geometry"] for r in rows])
-        areas = np.round(area(ga), 9)
+    def canon(t):
+        areas = np.round(area(from_wkb(t.column("geometry"))), 9)
         out = []
-        for r, a in zip(rows, areas):
-            key = {k: v for k, v in sorted(r.items()) if k != "geometry"}
-            out.append((tuple(key.items()), float(a)))
+        for r, a in zip(t.drop_columns(["geometry"]).to_pylist(), areas):
+            out.append((tuple(r.items()), float(a)))
         return sorted(out, key=repr)
 
+    p, z = parcels_dataset(SF), zones_dataset(SF)
     for fn in (union, symmetric_difference, identity):
-        got = canon(
-            fn(parcels_dataset(SF), zones_dataset(SF),
-               cols1=["OIDN"], cols2=["naam"])
-        )
-        # manual save/restore: monkeypatch.undo() would also revert the
-        # join_path fixture's broadcast_bytes patch (same instance)
-        orig = oo._fused_eligible
-        oo._fused_eligible = lambda *a: False
-        try:
-            want = canon(
-                fn(parcels_dataset(SF), zones_dataset(SF),
-                   cols1=["OIDN"], cols2=["naam"])
-            )
-        finally:
-            oo._fused_eligible = orig
-        assert got == want, f"{fn.__name__} fused != composed ({join_path})"
+        got = collect(fn(p, z, cols1=["OIDN"], cols2=["naam"]))
+        want = composed_overlay(fn.__name__, p, z, ["OIDN"], ["naam"])
+        assert got.column_names == want.column_names, fn.__name__
+        assert len(want) > 0
+        assert canon(got) == canon(want), f"{fn.__name__} != composed ({join_path})"
 
 
 def test_join_nearest(ray_session, oracle):
